@@ -16,7 +16,6 @@ print("matmul [[1,2],[3,4]] @ [[1],[1]]      ->", nk.matmul([[1.0, 2.0], [3.0, 4
 print("relu(-1, 2)                           ->", nk.relu(np.array([-1.0, 2.0])).value)
 print("gelu(0, 1)                            ->", nk.gelu(np.array([0.0, 1.0])).value)
 print("l2_normalize(3, 4)                    ->", nk.l2_normalize(np.array([3.0, 4.0])).value)
-print("logsumexp_row([1, 0])                 ->", nk.logsumexp_row(np.array([1.0, 0.0])).value, "(= ln(e + 1))")
 
 print("\n== a hand-rolled backward, checked against finite differences ==")
 a = rng.normal(size=(3, 4))

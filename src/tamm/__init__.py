@@ -16,10 +16,9 @@ from .encoders import (
     frozen_image_embed,
     frozen_text_embed,
     init_point_encoder,
-    point_encode,
 )
 from .losses import LossConfig, contrastive_accuracy, contrastive_loss, realign_loss, trimodal_loss
-from .numkit import GradPair, finite_diff_check, gelu, l2_normalize, logsumexp_row, matmul, relu
+from .numkit import GradPair, finite_diff_check, gelu, l2_normalize, matmul, relu
 from .train import (
     OptimState,
     TrainConfig,
@@ -59,9 +58,7 @@ __all__ = [
     "init_point_encoder",
     "l2_normalize",
     "load_checkpoint",
-    "logsumexp_row",
     "matmul",
-    "point_encode",
     "read_triplets",
     "realign_loss",
     "relu",

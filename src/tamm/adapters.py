@@ -76,15 +76,12 @@ def _as_batch(x):
     raise ShapeError(f"adapter input must be 1-D or 2-D, got shape {arr.shape}")
 
 
-def cia_forward(f_img, params: AdapterParams, cfg: CiaConfig) -> GradPair:
-    """normalize(alpha * relu(f @ w1) @ w2 + (1 - alpha) * f).
+def _two_layer(x_in, params: AdapterParams, alpha: float) -> GradPair:
+    """normalize(alpha * act(x @ w1) @ w2 + (1 - alpha) * x), the body of every adapter.
 
     backward(g) -> (d_input, d_w1, d_w2).
     """
-    if params.activation != "relu":
-        raise ConfigError("cia uses the relu activation")
-    x, squeezed = _as_batch(f_img)
-    alpha = cfg.alpha
+    x, squeezed = _as_batch(x_in)
     h = nk.matmul(x, params.w1)
     a = _ACT[params.activation](h.value)
     y = nk.matmul(a.value, params.w2)
@@ -105,38 +102,21 @@ def cia_forward(f_img, params: AdapterParams, cfg: CiaConfig) -> GradPair:
     return GradPair(value, backward)
 
 
-def dual_forward(f_point, params: AdapterParams, residual_alpha: float | None = None) -> GradPair:
+def cia_forward(f_img, params: AdapterParams, cfg: CiaConfig) -> GradPair:
+    """normalize(alpha * relu(f @ w1) @ w2 + (1 - alpha) * f).
+
+    backward(g) -> (d_input, d_w1, d_w2).
+    """
+    if params.activation != "relu":
+        raise ConfigError("cia uses the relu activation")
+    return _two_layer(f_img, params, cfg.alpha)
+
+
+def dual_forward(f_point, params: AdapterParams) -> GradPair:
     """normalize(gelu(f @ w1) @ w2); one code path serves both dual heads.
 
-    ``residual_alpha`` optionally blends the adapter output with its input the
-    way the cia does (off by default). backward(g) -> (d_input, d_w1, d_w2).
+    backward(g) -> (d_input, d_w1, d_w2).
     """
     if params.activation != "gelu":
         raise ConfigError("dual adapters use the gelu activation")
-    if residual_alpha is not None and not 0.0 <= residual_alpha <= 1.0:
-        raise ConfigError(f"residual_alpha must be in [0, 1], got {residual_alpha}")
-    x, squeezed = _as_batch(f_point)
-    h = nk.matmul(x, params.w1)
-    a = _ACT[params.activation](h.value)
-    y = nk.matmul(a.value, params.w2)
-    if residual_alpha is None:
-        pre = y.value
-    else:
-        pre = residual_alpha * y.value + (1.0 - residual_alpha) * x
-    out = nk.l2_normalize(pre)
-    value = out.value[0] if squeezed else out.value
-
-    def backward(g):
-        gm = np.asarray(g, dtype=np.float64)
-        if squeezed:
-            gm = gm[None, :]
-        (gb,) = out.backward(gm)
-        gy = gb if residual_alpha is None else residual_alpha * gb
-        ga, gw2 = y.backward(gy)
-        (gh,) = a.backward(ga)
-        gx, gw1 = h.backward(gh)
-        if residual_alpha is not None:
-            gx = gx + (1.0 - residual_alpha) * gb
-        return (gx[0] if squeezed else gx), gw1, gw2
-
-    return GradPair(value, backward)
+    return _two_layer(f_point, params, 1.0)

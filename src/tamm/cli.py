@@ -163,9 +163,7 @@ def cmd_pretrain(args) -> int:
     if args.stage == "1":
         cia = init_adapter(d, adapter_hidden, cfg.seed + 101, "cia")
         cia, rows, optim = train.train_stage1(data, cia, cfg, resume=resume)
-        save_checkpoint(
-            args.out, train.model_blocks(cia), optim, cfg, optim.step, extra={"trained_stage": "stage1"}
-        )
+        blocks, extra = train.model_blocks(cia), {"trained_stage": "stage1"}
     else:
         cia = None
         if args.stage == "2" and not args.no_cia:
@@ -188,24 +186,14 @@ def cmd_pretrain(args) -> int:
                 data, cia, encoder, iaa, taa, cfg, resume=resume, views_limit=args.views
             )
             extra = {"trained_stage": "stage2", "no_cia": str(int(args.no_cia))}
-            save_checkpoint(
-                args.out, train.model_blocks(cia, encoder, iaa, taa), optim, cfg, optim.step, extra=extra
-            )
         else:  # joint
-            if resume is not None:
-                raise ConfigError("--resume is not supported for --stage joint")
             cia = init_adapter(d, adapter_hidden, cfg.seed + 101, "cia")
             cia, encoder, iaa, taa, rows, optim = train.train_onestage(
-                data, cia, encoder, iaa, taa, cfg, views_limit=args.views
+                data, cia, encoder, iaa, taa, cfg, views_limit=args.views, resume=resume
             )
-            save_checkpoint(
-                args.out,
-                train.model_blocks(cia, encoder, iaa, taa),
-                optim,
-                cfg,
-                optim.step,
-                extra={"trained_stage": "joint"},
-            )
+            extra = {"trained_stage": "joint"}
+        blocks = train.model_blocks(cia, encoder, iaa, taa)
+    save_checkpoint(args.out, blocks, optim, cfg, optim.step, extra=extra)
     train.write_metrics_csv(rows, _metrics_path(args), run_id)
     last = rows[-1]
     summary = " ".join(f"{k}={v:.6f}" for k, v in last.items() if k not in ("stage", "epoch"))

@@ -266,11 +266,3 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
         return g_w1, g_w2, g_head
 
     return GradPair(value, backward)
-
-
-def point_encode(cloud, params: PointEncoderParams) -> GradPair:
-    """Single-cloud alias of :func:`encode_points`."""
-    arr = nk.as_f64(cloud, "point cloud")
-    if arr.ndim != 2:
-        raise ShapeError(f"point_encode takes a single (N,3) cloud, got {arr.shape}")
-    return encode_points(arr, params)

@@ -97,18 +97,6 @@ def _case_normalize_rows():
     return f, [x]
 
 
-def _case_logsumexp():
-    rng = np.random.default_rng(16)
-    x = rng.normal(size=9)
-
-    def f(params):
-        out = nk.logsumexp_row(params[0])
-        (dx,) = out.backward(1.0)
-        return float(out.value), [dx]
-
-    return f, [x]
-
-
 def _case_cia():
     rng = np.random.default_rng(17)
     # generic-scale weights: the shipped near-identity init makes analytic
@@ -250,7 +238,6 @@ CASES: dict[str, Callable] = {
     "gelu": _case_gelu,
     "l2_normalize_vector": _case_normalize_vector,
     "l2_normalize_rows": _case_normalize_rows,
-    "logsumexp_row": _case_logsumexp,
     "cia_forward": _case_cia,
     "dual_forward": _case_dual,
     "contrastive_loss": _case_contrastive,

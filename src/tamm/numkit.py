@@ -133,22 +133,6 @@ def l2_normalize(v, eps: float = NORM_EPS) -> GradPair:
     return GradPair(unit, backward)
 
 
-def logsumexp_row(row) -> GradPair:
-    """Max-shifted log(sum(exp(row))) of a nonempty 1-D row; exact for one element."""
-    arr = as_f64(row, "logsumexp_row input")
-    if arr.ndim != 1 or arr.size == 0:
-        raise ShapeError(f"logsumexp_row needs a nonempty 1-D row, got shape {arr.shape}")
-    m = float(arr.max())
-    shifted = np.exp(arr - m)
-    total = float(shifted.sum())
-    value = m + math.log(total)
-
-    def backward(g):
-        return (float(g) * shifted / total,)
-
-    return GradPair(value, backward)
-
-
 def logsumexp_rows(mat: np.ndarray) -> np.ndarray:
     """Row-wise stabilized logsumexp of a 2-D array (forward only)."""
     m = mat.max(axis=1, keepdims=True)

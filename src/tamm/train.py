@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +40,6 @@ class TrainConfig:
     betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.01
     seed: int = 0
-    stage: str = "two"
 
     def __post_init__(self):
         if not self.base_lr > 0:
@@ -49,8 +48,6 @@ class TrainConfig:
             raise ConfigError(f"need 0 <= warmup_epochs < total_epochs, got {self.warmup_epochs}/{self.total_epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.stage not in ("one", "two"):
-            raise ConfigError(f"stage must be 'one' or 'two', got {self.stage!r}")
 
 
 @dataclass
@@ -129,7 +126,7 @@ def _epoch_perm(seed: int, epoch: int, n: int) -> np.ndarray:
 
 def _resume_state(resume: Checkpoint | None, params: dict, cfg: TrainConfig, stage: str):
     if resume is None:
-        return params, OptimState.zeros(params), 0
+        return {name: p.copy() for name, p in params.items()}, OptimState.zeros(params), 0
     if resume.config != cfg:
         raise IncompatibilityError("resume checkpoint was written with a different train config")
     if resume.meta.get("trained_stage") != stage:
@@ -142,6 +139,62 @@ def _resume_state(resume: Checkpoint | None, params: dict, cfg: TrainConfig, sta
     return restored, resume.optim, resume.step
 
 
+def _fit(
+    params: dict[str, np.ndarray],
+    step,
+    n: int,
+    cfg: TrainConfig,
+    stage: str,
+    resume: Checkpoint | None = None,
+    stop_after_epochs: int | None = None,
+    on_epoch=None,
+    initial_row: bool = True,
+) -> tuple[dict[str, np.ndarray], list[dict], OptimState]:
+    """The epoch loop every stage shares: shuffle, resume skip, cosine LR, AdamW.
+
+    ``step(params, take, want_grads) -> (terms, grads)`` runs one batch of the
+    ``n`` training examples; ``terms`` holds per-batch scalars whose epoch
+    means become the row's metrics, and ``on_epoch(params, means)`` may turn
+    those means into the row's final metric fields. ``initial_row`` adds an
+    epoch-0 row for the untrained state (fresh runs only), evaluated on the
+    unshuffled batches. ``stop_after_epochs`` interrupts the run early without
+    altering the schedule, for checkpoint-and-resume.
+    """
+    if cfg.batch_size > n:
+        raise ConfigError(f"batch_size {cfg.batch_size} exceeds {n} training examples")
+    bs = cfg.batch_size
+    spe = n // bs
+    total_steps = spe * cfg.total_epochs
+    warmup_steps = spe * cfg.warmup_epochs
+    params, optim, start_step = _resume_state(resume, params, cfg, stage)
+
+    rows: list[dict] = []
+
+    def record(params, epoch: int, terms: list[dict], lr: float) -> None:
+        means = {key: float(np.mean([t[key] for t in terms])) for key in terms[0]}
+        metrics = on_epoch(params, means) if on_epoch else means
+        rows.append({"stage": stage, "epoch": epoch, **metrics, "lr": lr})
+
+    if initial_row and start_step == 0:
+        record(params, 0, [step(params, np.arange(b * bs, (b + 1) * bs), False)[0] for b in range(spe)], 0.0)
+
+    lr = 0.0
+    last_epoch = cfg.total_epochs if stop_after_epochs is None else min(stop_after_epochs, cfg.total_epochs)
+    for epoch in range(start_step // spe, last_epoch):
+        perm = _epoch_perm(cfg.seed, epoch, n)
+        terms = []
+        for b in range(spe):
+            gstep = epoch * spe + b
+            if gstep < start_step:
+                continue
+            batch_terms, grads = step(params, perm[b * bs : (b + 1) * bs], True)
+            lr = cosine_lr(gstep, total_steps, warmup_steps, cfg.base_lr)
+            params, optim = adamw_step(params, grads, optim, lr, cfg.betas, cfg.weight_decay)
+            terms.append(batch_terms)
+        record(params, epoch + 1, terms, lr)
+    return params, rows, optim
+
+
 def _stage1_pairs(data: TripletSet) -> tuple[np.ndarray, np.ndarray]:
     idx = data.indices(PRETRAIN)
     m = data.spec.views
@@ -152,11 +205,7 @@ def _stage1_pairs(data: TripletSet) -> tuple[np.ndarray, np.ndarray]:
 
 def _split_accuracy(data: TripletSet, tag: str, cia: AdapterParams | None, cfg: CiaConfig) -> float:
     idx = data.indices(tag)
-    imgs = data.image_feats[idx]
-    if cia is not None:
-        flat = cia_forward(imgs.reshape(-1, imgs.shape[-1]), cia, cfg).value
-        imgs = flat.reshape(imgs.shape)
-    return batched_contrastive_accuracy(imgs, data.text_feats[idx])
+    return batched_contrastive_accuracy(adapt_views(data.image_feats[idx], cia, cfg), data.text_feats[idx])
 
 
 def train_stage1(
@@ -170,74 +219,33 @@ def train_stage1(
 
     Every view of a sample counts as an independent pair. Returns the trained
     adapter, one metrics row per epoch (plus an epoch-0 row for the untrained
-    state), and the final optimizer state. ``stop_after_epochs`` interrupts
-    the run early without altering the schedule, for checkpoint-and-resume.
+    state), and the final optimizer state.
     """
     imgs, txts = _stage1_pairs(data)
-    n_pairs = imgs.shape[0]
-    if cfg.batch_size > n_pairs:
-        raise ConfigError(f"batch_size {cfg.batch_size} exceeds {n_pairs} training pairs")
-    spe = n_pairs // cfg.batch_size
-    total_steps = spe * cfg.total_epochs
-    warmup_steps = spe * cfg.warmup_epochs
     loss_cfg = LossConfig(cfg.tau)
     cia_cfg = CiaConfig(cfg.alpha)
 
-    params = {"cia.w1": cia.w1.copy(), "cia.w2": cia.w2.copy()}
-    params, optim, start_step = _resume_state(resume, params, cfg, "stage1")
+    def step(params, take, want_grads):
+        adapted = cia_forward(imgs[take], blocks_to_model(params)[0], cia_cfg)
+        loss = realign_loss(adapted.value, txts[take], loss_cfg)
+        if not want_grads:
+            return {"loss": loss.value}, None
+        (d_adapted,) = loss.backward(1.0)
+        _, gw1, gw2 = adapted.backward(d_adapted)
+        return {"loss": loss.value}, model_blocks(AdapterParams(gw1, gw2, "relu"))
 
-    rows: list[dict] = []
-    if start_step == 0:
-        cur = AdapterParams(params["cia.w1"], params["cia.w2"], "relu")
-        init_losses = []
-        for b in range(spe):
-            sl = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
-            adapted = cia_forward(imgs[sl], cur, cia_cfg)
-            init_losses.append(realign_loss(adapted.value, txts[sl], loss_cfg).value)
-        rows.append(
-            {
-                "stage": "stage1",
-                "epoch": 0,
-                "loss": float(np.mean(init_losses)),
-                "acc_pretrain": _split_accuracy(data, PRETRAIN, cur, cia_cfg),
-                "acc_heldout": _split_accuracy(data, EVAL_HELDOUT, cur, cia_cfg),
-                "lr": 0.0,
-            }
-        )
+    def on_epoch(params, means):
+        cur = blocks_to_model(params)[0]
+        return {
+            **means,
+            "acc_pretrain": _split_accuracy(data, PRETRAIN, cur, cia_cfg),
+            "acc_heldout": _split_accuracy(data, EVAL_HELDOUT, cur, cia_cfg),
+        }
 
-    lr = 0.0
-    last_epoch = cfg.total_epochs if stop_after_epochs is None else min(stop_after_epochs, cfg.total_epochs)
-    for epoch in range(start_step // spe, last_epoch):
-        perm = _epoch_perm(cfg.seed, epoch, n_pairs)
-        epoch_losses = []
-        for b in range(spe):
-            gstep = epoch * spe + b
-            if gstep < start_step:
-                continue
-            take = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            cur = AdapterParams(params["cia.w1"], params["cia.w2"], "relu")
-            adapted = cia_forward(imgs[take], cur, cia_cfg)
-            loss = realign_loss(adapted.value, txts[take], loss_cfg)
-            (d_adapted,) = loss.backward(1.0)
-            _, gw1, gw2 = adapted.backward(d_adapted)
-            lr = cosine_lr(gstep, total_steps, warmup_steps, cfg.base_lr)
-            params, optim = adamw_step(
-                params, {"cia.w1": gw1, "cia.w2": gw2}, optim, lr, cfg.betas, cfg.weight_decay
-            )
-            epoch_losses.append(loss.value)
-        cur = AdapterParams(params["cia.w1"], params["cia.w2"], "relu")
-        rows.append(
-            {
-                "stage": "stage1",
-                "epoch": epoch + 1,
-                "loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
-                "acc_pretrain": _split_accuracy(data, PRETRAIN, cur, cia_cfg),
-                "acc_heldout": _split_accuracy(data, EVAL_HELDOUT, cur, cia_cfg),
-                "lr": lr,
-            }
-        )
-    trained = AdapterParams(params["cia.w1"], params["cia.w2"], "relu")
-    return trained, rows, optim
+    params, rows, optim = _fit(
+        model_blocks(cia), step, imgs.shape[0], cfg, "stage1", resume, stop_after_epochs, on_epoch
+    )
+    return blocks_to_model(params)[0], rows, optim
 
 
 def adapt_views(image_feats: np.ndarray, cia: AdapterParams | None, cfg: CiaConfig) -> np.ndarray:
@@ -253,6 +261,29 @@ def _views_count(data: TripletSet, views_limit: int | None) -> int:
     if not 1 <= m <= data.spec.views:
         raise IncompatibilityError(f"requested {views_limit} views, dataset stores {data.spec.views}")
     return m
+
+
+def _trimodal_step(params, clouds, texts, views, loss_cfg: LossConfig, want_grads: bool):
+    """Trimodal loss of the point encoder and dual heads against fixed image
+    views, and its gradients for the ``pe``/``iaa``/``taa`` blocks."""
+    _, pe, iaa, taa = blocks_to_model(params)
+    enc_out = encode_points(clouds, pe)
+    vp = dual_forward(enc_out.value, iaa)
+    sp = dual_forward(enc_out.value, taa)
+    tl = trimodal_loss(sp.value, texts, vp.value, views, loss_cfg)
+    if not want_grads:
+        return tl, None
+    d_sp, d_vp = tl.backward(1.0)
+    g_fp_t, g_t1, g_t2 = sp.backward(d_sp)
+    g_fp_v, g_v1, g_v2 = vp.backward(d_vp)
+    g_w1, g_w2, g_head = enc_out.backward(g_fp_t + g_fp_v)
+    grads = model_blocks(
+        None,
+        PointEncoderParams(g_w1, g_w2, g_head),
+        AdapterParams(g_v1, g_v2, "gelu"),
+        AdapterParams(g_t1, g_t2, "gelu"),
+    )
+    return tl, grads
 
 
 def train_stage2(
@@ -273,97 +304,20 @@ def train_stage2(
     """
     m = _views_count(data, views_limit)
     idx = data.indices(PRETRAIN)
-    n = idx.size
-    if cfg.batch_size > n:
-        raise ConfigError(f"batch_size {cfg.batch_size} exceeds {n} training samples")
     adapted = adapt_views(data.image_feats[idx][:, :m], cia, CiaConfig(cfg.alpha))
     texts = data.text_feats[idx]
     clouds = data.points[idx]
-    spe = n // cfg.batch_size
-    total_steps = spe * cfg.total_epochs
-    warmup_steps = spe * cfg.warmup_epochs
     loss_cfg = LossConfig(cfg.tau)
 
-    params = {
-        "pe.w1": encoder.w1.copy(),
-        "pe.w2": encoder.w2.copy(),
-        "pe.head": encoder.head.copy(),
-        "iaa.w1": iaa.w1.copy(),
-        "iaa.w2": iaa.w2.copy(),
-        "taa.w1": taa.w1.copy(),
-        "taa.w2": taa.w2.copy(),
-    }
-    params, optim, start_step = _resume_state(resume, params, cfg, "stage2")
-
-    def batch_terms(take, want_grads):
-        pe = PointEncoderParams(params["pe.w1"], params["pe.w2"], params["pe.head"])
-        cur_iaa = AdapterParams(params["iaa.w1"], params["iaa.w2"], "gelu")
-        cur_taa = AdapterParams(params["taa.w1"], params["taa.w2"], "gelu")
-        enc_out = encode_points(clouds[take], pe)
-        vp = dual_forward(enc_out.value, cur_iaa)
-        sp = dual_forward(enc_out.value, cur_taa)
+    def step(params, take, want_grads):
         views = [adapted[take, k] for k in range(m)]
-        tl = trimodal_loss(sp.value, texts[take], vp.value, views, loss_cfg)
-        if not want_grads:
-            return tl, None
-        d_sp, d_vp = tl.backward(1.0)
-        g_fp_t, g_t1, g_t2 = sp.backward(d_sp)
-        g_fp_v, g_v1, g_v2 = vp.backward(d_vp)
-        g_w1, g_w2, g_head = enc_out.backward(g_fp_t + g_fp_v)
-        grads = {
-            "pe.w1": g_w1,
-            "pe.w2": g_w2,
-            "pe.head": g_head,
-            "iaa.w1": g_v1,
-            "iaa.w2": g_v2,
-            "taa.w1": g_t1,
-            "taa.w2": g_t2,
-        }
-        return tl, grads
+        tl, grads = _trimodal_step(params, clouds[take], texts[take], views, loss_cfg, want_grads)
+        return {"loss": tl.value, "loss_text": tl.text_term, "loss_image": tl.image_term}, grads
 
-    rows: list[dict] = []
-    if start_step == 0:
-        init = [batch_terms(np.arange(b * cfg.batch_size, (b + 1) * cfg.batch_size), False)[0] for b in range(spe)]
-        rows.append(
-            {
-                "stage": "stage2",
-                "epoch": 0,
-                "loss": float(np.mean([t.value for t in init])),
-                "loss_text": float(np.mean([t.text_term for t in init])),
-                "loss_image": float(np.mean([t.image_term for t in init])),
-                "lr": 0.0,
-            }
-        )
-
-    lr = 0.0
-    last_epoch = cfg.total_epochs if stop_after_epochs is None else min(stop_after_epochs, cfg.total_epochs)
-    for epoch in range(start_step // spe, last_epoch):
-        perm = _epoch_perm(cfg.seed, epoch, n)
-        totals, text_terms, image_terms = [], [], []
-        for b in range(spe):
-            gstep = epoch * spe + b
-            if gstep < start_step:
-                continue
-            take = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            tl, grads = batch_terms(take, True)
-            lr = cosine_lr(gstep, total_steps, warmup_steps, cfg.base_lr)
-            params, optim = adamw_step(params, grads, optim, lr, cfg.betas, cfg.weight_decay)
-            totals.append(tl.value)
-            text_terms.append(tl.text_term)
-            image_terms.append(tl.image_term)
-        rows.append(
-            {
-                "stage": "stage2",
-                "epoch": epoch + 1,
-                "loss": float(np.mean(totals)) if totals else float("nan"),
-                "loss_text": float(np.mean(text_terms)) if text_terms else float("nan"),
-                "loss_image": float(np.mean(image_terms)) if image_terms else float("nan"),
-                "lr": lr,
-            }
-        )
-    out_pe = PointEncoderParams(params["pe.w1"], params["pe.w2"], params["pe.head"])
-    out_iaa = AdapterParams(params["iaa.w1"], params["iaa.w2"], "gelu")
-    out_taa = AdapterParams(params["taa.w1"], params["taa.w2"], "gelu")
+    params, rows, optim = _fit(
+        model_blocks(None, encoder, iaa, taa), step, idx.size, cfg, "stage2", resume, stop_after_epochs
+    )
+    _, out_pe, out_iaa, out_taa = blocks_to_model(params)
     return out_pe, out_iaa, out_taa, rows, optim
 
 
@@ -375,6 +329,8 @@ def train_onestage(
     taa: AdapterParams,
     cfg: TrainConfig,
     views_limit: int | None = None,
+    resume: Checkpoint | None = None,
+    stop_after_epochs: int | None = None,
 ) -> tuple[AdapterParams, PointEncoderParams, AdapterParams, AdapterParams, list[dict], OptimState]:
     """Joint ablation: one loop over realign + trimodal with the cia trainable.
 
@@ -383,53 +339,25 @@ def train_onestage(
     """
     m = _views_count(data, views_limit)
     idx = data.indices(PRETRAIN)
-    n = idx.size
-    if cfg.batch_size > n:
-        raise ConfigError(f"batch_size {cfg.batch_size} exceeds {n} training samples")
     images = data.image_feats[idx][:, :m]
     texts = data.text_feats[idx]
     clouds = data.points[idx]
-    spe = n // cfg.batch_size
-    total_steps = spe * cfg.total_epochs
-    warmup_steps = spe * cfg.warmup_epochs
     loss_cfg = LossConfig(cfg.tau)
     cia_cfg = CiaConfig(cfg.alpha)
 
-    params = {
-        "cia.w1": cia.w1.copy(),
-        "cia.w2": cia.w2.copy(),
-        "pe.w1": encoder.w1.copy(),
-        "pe.w2": encoder.w2.copy(),
-        "pe.head": encoder.head.copy(),
-        "iaa.w1": iaa.w1.copy(),
-        "iaa.w2": iaa.w2.copy(),
-        "taa.w1": taa.w1.copy(),
-        "taa.w2": taa.w2.copy(),
-    }
-    optim = OptimState.zeros(params)
-
-    rows: list[dict] = []
-    lr = 0.0
-    for epoch in range(cfg.total_epochs):
-        perm = _epoch_perm(cfg.seed, epoch, n)
-        realigns, trimodals, text_terms, image_terms = [], [], [], []
-        for b in range(spe):
-            gstep = epoch * spe + b
-            take = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            cur_cia = AdapterParams(params["cia.w1"], params["cia.w2"], "relu")
-            pe = PointEncoderParams(params["pe.w1"], params["pe.w2"], params["pe.head"])
-            cur_iaa = AdapterParams(params["iaa.w1"], params["iaa.w2"], "gelu")
-            cur_taa = AdapterParams(params["taa.w1"], params["taa.w2"], "gelu")
-
-            adapted_views = [cia_forward(images[take, k], cur_cia, cia_cfg) for k in range(m)]
-            realign_pairs = [realign_loss(av.value, texts[take], loss_cfg) for av in adapted_views]
-            realign_term = float(np.sum([rp.value for rp in realign_pairs])) / m
-
-            enc_out = encode_points(clouds[take], pe)
-            vp = dual_forward(enc_out.value, cur_iaa)
-            sp = dual_forward(enc_out.value, cur_taa)
-            tl = trimodal_loss(sp.value, texts[take], vp.value, [av.value for av in adapted_views], loss_cfg)
-
+    def step(params, take, want_grads):
+        cur_cia = blocks_to_model(params)[0]
+        adapted_views = [cia_forward(images[take, k], cur_cia, cia_cfg) for k in range(m)]
+        realign_pairs = [realign_loss(av.value, texts[take], loss_cfg) for av in adapted_views]
+        views = [av.value for av in adapted_views]
+        tl, grads = _trimodal_step(params, clouds[take], texts[take], views, loss_cfg, want_grads)
+        terms = {
+            "loss_realign": float(np.sum([rp.value for rp in realign_pairs])) / m,
+            "loss_trimodal": tl.value,
+            "loss_text": tl.text_term,
+            "loss_image": tl.image_term,
+        }
+        if want_grads:
             g_c1 = np.zeros_like(params["cia.w1"])
             g_c2 = np.zeros_like(params["cia.w2"])
             for av, rp in zip(adapted_views, realign_pairs):
@@ -437,43 +365,24 @@ def train_onestage(
                 _, gw1, gw2 = av.backward(d_ad)
                 g_c1 += gw1
                 g_c2 += gw2
-            d_sp, d_vp = tl.backward(1.0)
-            g_fp_t, g_t1, g_t2 = sp.backward(d_sp)
-            g_fp_v, g_v1, g_v2 = vp.backward(d_vp)
-            g_w1, g_w2, g_head = enc_out.backward(g_fp_t + g_fp_v)
-            grads = {
-                "cia.w1": g_c1,
-                "cia.w2": g_c2,
-                "pe.w1": g_w1,
-                "pe.w2": g_w2,
-                "pe.head": g_head,
-                "iaa.w1": g_v1,
-                "iaa.w2": g_v2,
-                "taa.w1": g_t1,
-                "taa.w2": g_t2,
-            }
-            lr = cosine_lr(gstep, total_steps, warmup_steps, cfg.base_lr)
-            params, optim = adamw_step(params, grads, optim, lr, cfg.betas, cfg.weight_decay)
-            realigns.append(realign_term)
-            trimodals.append(tl.value)
-            text_terms.append(tl.text_term)
-            image_terms.append(tl.image_term)
-        rows.append(
-            {
-                "stage": "joint",
-                "epoch": epoch + 1,
-                "loss": float(np.mean(realigns) + np.mean(trimodals)),
-                "loss_realign": float(np.mean(realigns)),
-                "loss_trimodal": float(np.mean(trimodals)),
-                "loss_text": float(np.mean(text_terms)),
-                "loss_image": float(np.mean(image_terms)),
-                "lr": lr,
-            }
-        )
-    out_cia = AdapterParams(params["cia.w1"], params["cia.w2"], "relu")
-    out_pe = PointEncoderParams(params["pe.w1"], params["pe.w2"], params["pe.head"])
-    out_iaa = AdapterParams(params["iaa.w1"], params["iaa.w2"], "gelu")
-    out_taa = AdapterParams(params["taa.w1"], params["taa.w2"], "gelu")
+            grads.update(model_blocks(AdapterParams(g_c1, g_c2, "relu")))
+        return terms, grads
+
+    def on_epoch(params, means):
+        return {"loss": means["loss_realign"] + means["loss_trimodal"], **means}
+
+    params, rows, optim = _fit(
+        model_blocks(cia, encoder, iaa, taa),
+        step,
+        idx.size,
+        cfg,
+        "joint",
+        resume,
+        stop_after_epochs,
+        on_epoch,
+        initial_row=False,
+    )
+    out_cia, out_pe, out_iaa, out_taa = blocks_to_model(params)
     return out_cia, out_pe, out_iaa, out_taa, rows, optim
 
 

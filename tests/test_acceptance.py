@@ -26,7 +26,7 @@ from tamm.datagen import (
     read_triplets,
     write_triplets,
 )
-from tamm.encoders import init_point_encoder, point_encode
+from tamm.encoders import encode_points, init_point_encoder
 from tamm.evaluate import (
     build_category_bank,
     dual_features,
@@ -248,10 +248,10 @@ def test_criterion_8_exact_invariants(tmp_path, default_data, stage1, stage2, he
 
     # permutation invariance, bit-exact over 100 permutations
     cloud = data.points[held[0]]
-    base = point_encode(cloud, stage2["pe"]).value
+    base = encode_points(cloud, stage2["pe"]).value
     for seed in range(100):
         perm = np.random.default_rng(seed).permutation(cloud.shape[0])
-        assert np.array_equal(point_encode(cloud[perm], stage2["pe"]).value, base)
+        assert np.array_equal(encode_points(cloud[perm], stage2["pe"]).value, base)
 
     # argmax invariance under positive scaling
     preds, _ = zeroshot_classify(f_vp, f_sp, bank, "both")

@@ -101,29 +101,6 @@ class TestDual:
         taa.w2 = taa.w2 + rng.normal(size=taa.w2.shape)
         np.testing.assert_array_equal(dual_forward(f, iaa).value, before)
 
-    def test_residual_flag(self):
-        rng = np.random.default_rng(9)
-        p = init_adapter(6, 3, 12, "dual")
-        f = nk.l2_normalize(rng.normal(size=6)).value
-        plain = dual_forward(f, p).value
-        blended = dual_forward(f, p, residual_alpha=0.2).value
-        assert not np.allclose(plain, blended)
-        identity = dual_forward(f, p, residual_alpha=0.0).value
-        np.testing.assert_allclose(identity, f, atol=1e-12)
-
-    def test_residual_flag_gradients(self):
-        rng = np.random.default_rng(13)
-        p = init_adapter(6, 4, 14, "dual")
-        x = nk.l2_normalize(rng.normal(size=(2, 6))).value
-        w = rng.normal(size=(2, 6))
-
-        def f(params):
-            out = dual_forward(params[0], AdapterParams(params[1], params[2], "gelu"), residual_alpha=0.3)
-            dx, dw1, dw2 = out.backward(w)
-            return float(np.sum(w * out.value)), [dx, dw1, dw2]
-
-        assert nk.finite_diff_check(f, [x, p.w1, p.w2]) < 1e-6
-
 
 class TestInit:
     def test_deterministic(self):

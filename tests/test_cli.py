@@ -1,8 +1,8 @@
-import os
+import functools
 
-import numpy as np
 import pytest
 
+from tamm import train
 from tamm.cli import main
 from tamm.datagen import read_triplets
 from tamm.gradcheck import TOLERANCE, run_gradcheck
@@ -126,33 +126,21 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert "9" in err and "2" in err
 
-    def test_resume_matches_uninterrupted(self, workdir, tmp_path):
-        data = str(workdir / "data.bin")
-        full = tmp_path / "full.ckpt"
-        assert main(["pretrain", "--stage", "1", "--data", data, "--out", str(full), "--seed", "0", *SMALL, *FAST_TRAIN]) == 0
-        # rerun the same config, interrupted via a half checkpoint, then resume
-        import tamm.train as tr
-        from tamm.adapters import init_adapter
-        from tamm.cli import build_configs
-        import argparse
-
-        ns = argparse.Namespace(config=None, set=SMALL[1::2] + FAST_TRAIN[1::2], seed=0)
-        ds_spec, cfg = build_configs(ns)
-        data_set = read_triplets(data)
-        cia0 = init_adapter(data_set.spec.feature_dim, data_set.spec.feature_dim // 2, cfg.seed + 101, "cia")
-        half, _, half_optim = tr.train_stage1(data_set, cia0, cfg, stop_after_epochs=1)
-        half_path = tmp_path / "half.ckpt"
-        tr.save_checkpoint(half_path, tr.model_blocks(half), half_optim, cfg, half_optim.step, extra={"trained_stage": "stage1"})
-        resumed = tmp_path / "resumed.ckpt"
-        rc = main(
-            ["pretrain", "--stage", "1", "--data", data, "--out", str(resumed), "--resume", str(half_path),
-             "--seed", "0", *SMALL, *FAST_TRAIN]
-        )
-        assert rc == 0
-        a = load_checkpoint(full)
-        b = load_checkpoint(resumed)
-        for name in a.blocks:
-            np.testing.assert_array_equal(a.blocks[name], b.blocks[name])
+    @pytest.mark.parametrize("stage", ["1", "2", "joint"])
+    def test_resume_matches_uninterrupted(self, workdir, tmp_path, monkeypatch, stage):
+        run = ["pretrain", "--stage", stage, "--data", str(workdir / "data.bin"), "--seed", "0", *SMALL, *FAST_TRAIN]
+        if stage == "2":
+            run += ["--cia", str(workdir / "s1.ckpt")]
+        full, half, resumed = (tmp_path / f"{name}.ckpt" for name in ("full", "half", "resumed"))
+        assert main([*run, "--out", str(full)]) == 0
+        # the same run interrupted after one epoch, then resumed from its checkpoint
+        fn = {"1": "train_stage1", "2": "train_stage2", "joint": "train_onestage"}[stage]
+        with monkeypatch.context() as patch:
+            patch.setattr(train, fn, functools.partial(getattr(train, fn), stop_after_epochs=1))
+            assert main([*run, "--out", str(half)]) == 0
+        assert load_checkpoint(half).step < load_checkpoint(full).step
+        assert main([*run, "--out", str(resumed), "--resume", str(half)]) == 0
+        assert resumed.read_bytes() == full.read_bytes()
 
 
 class TestEval:

@@ -9,7 +9,6 @@ from tamm.encoders import (
     frozen_image_embed,
     frozen_text_embed,
     init_point_encoder,
-    point_encode,
     shift_apply,
     shift_invert,
 )
@@ -91,17 +90,17 @@ class TestPointEncoder:
         rng = np.random.default_rng(10)
         params = init_point_encoder(16, 8, 0)
         cloud = rng.normal(size=(40, 3))
-        base = point_encode(cloud, params).value
+        base = encode_points(cloud, params).value
         for seed in range(100):
             perm = np.random.default_rng(seed).permutation(40)
-            np.testing.assert_array_equal(point_encode(cloud[perm], params).value, base)
+            np.testing.assert_array_equal(encode_points(cloud[perm], params).value, base)
 
     def test_duplication_invariance_bit_exact(self):
         rng = np.random.default_rng(11)
         params = init_point_encoder(16, 8, 1)
         cloud = rng.normal(size=(33, 3))
         doubled = np.concatenate([cloud, cloud], axis=0)
-        np.testing.assert_array_equal(point_encode(doubled, params).value, point_encode(cloud, params).value)
+        np.testing.assert_array_equal(encode_points(doubled, params).value, encode_points(cloud, params).value)
 
     def test_unit_norm_output(self):
         rng = np.random.default_rng(12)
@@ -125,7 +124,7 @@ class TestPointEncoder:
     def test_degenerate_cloud_allowed(self):
         params = init_point_encoder(8, 4, 4)
         cloud = np.tile(np.array([0.5, -0.25, 1.0]), (10, 1))
-        feat = point_encode(cloud, params).value
+        feat = encode_points(cloud, params).value
         assert np.all(np.isfinite(feat))
 
     def test_batch_matches_single(self):
@@ -135,12 +134,12 @@ class TestPointEncoder:
         clouds = rng.normal(size=(3, 15, 3))
         batch = encode_points(clouds, params).value
         for i in range(3):
-            np.testing.assert_allclose(batch[i], point_encode(clouds[i], params).value, atol=1e-12)
+            np.testing.assert_allclose(batch[i], encode_points(clouds[i], params).value, atol=1e-12)
 
     def test_minimum_points(self):
         params = init_point_encoder(8, 4, 6)
         with pytest.raises(ShapeError):
-            point_encode(np.zeros((4, 3)), params)
+            encode_points(np.zeros((4, 3)), params)
 
     def test_init_deterministic(self):
         a = init_point_encoder(8, 4, 7)

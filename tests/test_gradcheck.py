@@ -6,7 +6,6 @@ EXPECTED_COVERAGE = {
     "gelu",
     "l2_normalize_vector",
     "l2_normalize_rows",
-    "logsumexp_row",
     "cia_forward",
     "dual_forward",
     "contrastive_loss",

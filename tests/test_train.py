@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,10 +127,7 @@ class TestTrainConfig:
         assert cfg.tau == 0.07
         assert cfg.alpha == 0.2
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(base_lr=0.0), dict(warmup_epochs=5, total_epochs=5), dict(batch_size=1), dict(stage="three")],
-    )
+    @pytest.mark.parametrize("kwargs", [dict(base_lr=0.0), dict(warmup_epochs=5, total_epochs=5), dict(batch_size=1)])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
@@ -274,38 +275,50 @@ class TestCheckpoint:
         assert ck.step == 0
         assert all(np.all(v == 0.0) for v in ck.optim.m.values())
 
-    def test_resume_equals_uninterrupted_stage1(self, tmp_path, data):
-        cfg = TrainConfig(seed=0, total_epochs=4, warmup_epochs=1, batch_size=8)
-        cia0, *_ = small_models(data.spec.feature_dim)
-
-        full, _, full_optim = train_stage1(data, cia0, cfg)
-
-        half, _, half_optim = train_stage1(data, cia0, cfg, stop_after_epochs=2)
-        path = tmp_path / "half.ckpt"
-        save_checkpoint(path, model_blocks(half), half_optim, cfg, half_optim.step, extra={"trained_stage": "stage1"})
-        resumed, _, resumed_optim = train_stage1(data, cia0, cfg, resume=load_checkpoint(path))
-
-        np.testing.assert_array_equal(resumed.w1, full.w1)
-        np.testing.assert_array_equal(resumed.w2, full.w2)
-        for name in full_optim.m:
-            np.testing.assert_array_equal(resumed_optim.m[name], full_optim.m[name])
-
-    def test_resume_equals_uninterrupted_stage2(self, tmp_path, data):
+    @pytest.mark.parametrize("stage", ["stage1", "stage2", "joint"])
+    def test_resume_equals_uninterrupted(self, tmp_path, data, stage):
         cfg = TrainConfig(seed=0, total_epochs=4, warmup_epochs=1, batch_size=8)
         cia, pe, iaa, taa = small_models(data.spec.feature_dim)
 
-        fpe, fiaa, ftaa, _, _ = train_stage2(data, cia, pe, iaa, taa, cfg)
+        def fit(**kwargs):
+            if stage == "stage1":
+                trained, rows, optim = train_stage1(data, cia, cfg, **kwargs)
+                return model_blocks(trained), rows, optim
+            if stage == "stage2":
+                *trained, rows, optim = train_stage2(data, cia, pe, iaa, taa, cfg, **kwargs)
+                return model_blocks(None, *trained), rows, optim
+            *trained, rows, optim = train_onestage(data, cia, pe, iaa, taa, cfg, **kwargs)
+            return model_blocks(*trained), rows, optim
 
-        pe2, iaa2, taa2, _, half_optim = train_stage2(data, cia, pe, iaa, taa, cfg, stop_after_epochs=2)
-        path = tmp_path / "half2.ckpt"
-        save_checkpoint(
-            path, model_blocks(None, pe2, iaa2, taa2), half_optim, cfg, half_optim.step, extra={"trained_stage": "stage2"}
-        )
-        rpe, riaa, rtaa, _, _ = train_stage2(data, cia, pe, iaa, taa, cfg, resume=load_checkpoint(path))
+        full, full_rows, full_optim = fit()
+        half, _, half_optim = fit(stop_after_epochs=2)
+        path = tmp_path / "half.ckpt"
+        save_checkpoint(path, half, half_optim, cfg, half_optim.step, extra={"trained_stage": stage})
+        resumed, resumed_rows, resumed_optim = fit(resume=load_checkpoint(path))
 
-        np.testing.assert_array_equal(rpe.head, fpe.head)
-        np.testing.assert_array_equal(riaa.w1, fiaa.w1)
-        np.testing.assert_array_equal(rtaa.w2, ftaa.w2)
+        assert resumed.keys() == full.keys()
+        for name in full:
+            np.testing.assert_array_equal(resumed[name], full[name])
+            np.testing.assert_array_equal(resumed_optim.m[name], full_optim.m[name])
+            np.testing.assert_array_equal(resumed_optim.v[name], full_optim.v[name])
+        assert resumed_optim.step == full_optim.step
+        assert resumed_rows == full_rows[-2:]
+
+    def test_resume_from_meta_with_retired_stage_key(self, tmp_path, data):
+        # checkpoints once carried a no-op ``stage=two`` config key; they still load and resume
+        cfg = TrainConfig(seed=0, **SMALL_CFG)
+        cia, *_ = small_models(data.spec.feature_dim)
+        full, _, full_optim = train_stage1(data, cia, cfg)
+        half, _, half_optim = train_stage1(data, cia, cfg, stop_after_epochs=1)
+        path = tmp_path / "old.ckpt"
+        extra = {"trained_stage": "stage1", "stage": "two"}
+        save_checkpoint(path, model_blocks(half), half_optim, cfg, half_optim.step, extra=extra)
+        ck = load_checkpoint(path)
+        assert ck.meta["stage"] == "two" and ck.config == cfg
+        resumed, _, resumed_optim = train_stage1(data, cia, cfg, resume=ck)
+        np.testing.assert_array_equal(resumed.w1, full.w1)
+        np.testing.assert_array_equal(resumed.w2, full.w2)
+        assert resumed_optim.step == full_optim.step
 
     def test_resume_config_mismatch(self, tmp_path, data):
         cfg = TrainConfig(seed=0, **SMALL_CFG)
@@ -362,3 +375,43 @@ class TestMetricsCsv:
         assert lines[0] == "run_id,stage,epoch,metric,value"
         assert lines[1] == "abc123,stage1,0,loss,1.5"
         assert len(lines) == 5
+
+
+# Trains a small stage 1, stage 2 (on the stage-1 cia) and joint run and prints
+# the sha256 of every trained parameter and optimizer moment. The point-MLP
+# batches (32 clouds x 64 points, hidden 64) are large enough for OpenBLAS to
+# split its matmuls across threads.
+_HASH_RUNS = """
+import hashlib
+from tamm.adapters import init_adapter
+from tamm.datagen import DatasetSpec, generate
+from tamm.encoders import init_point_encoder
+from tamm.train import TrainConfig, model_blocks, train_onestage, train_stage1, train_stage2
+
+data = generate(DatasetSpec(seed=1, classes=5, samples_per_class=26, heldout_classes=2, views=2, points_per_cloud=64))
+d = data.spec.feature_dim
+cfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=32)
+cia = init_adapter(d, d // 2, 101, "cia")
+models = (init_point_encoder(64, d, 202), init_adapter(d, d // 2, 303, "dual"), init_adapter(d, d // 2, 404, "dual"))
+cia1, _, opt1 = train_stage1(data, cia, cfg)
+*stage2, _, opt2 = train_stage2(data, cia1, *models, cfg)
+*joint, _, opt3 = train_onestage(data, cia, *models, cfg)
+for name, blocks, optim in [("stage1", model_blocks(cia1), opt1), ("stage2", model_blocks(None, *stage2), opt2),
+                            ("joint", model_blocks(*joint), opt3)]:
+    h = hashlib.sha256()
+    for key in sorted(blocks):
+        h.update(key.encode() + blocks[key].tobytes() + optim.m[key].tobytes() + optim.v[key].tobytes())
+    print(name, h.hexdigest())
+"""
+
+
+def test_trained_hashes_independent_of_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", _HASH_RUNS], env=env, capture_output=True, text=True, check=True)
+        digests.append(out.stdout)
+    assert [line.split()[0] for line in digests[0].splitlines()] == ["stage1", "stage2", "joint"]
+    assert digests[0] == digests[1]
