@@ -24,6 +24,7 @@ import numpy as np
 from . import datagen, evaluate, train
 from . import numkit as nk
 from .adapters import CiaConfig, init_adapter
+from .codec import parse_value
 from .datagen import DatasetSpec, read_triplets, write_triplets
 from .encoders import init_point_encoder
 from .errors import (
@@ -49,33 +50,10 @@ _DATASET_FIELDS = {f.name: f for f in fields(DatasetSpec)}
 _TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig)}
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key == "betas":
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"betas needs two comma-separated floats, got {raw!r}")
-        return (float(parts[0]), float(parts[1]))
-    if key == "shift_strength" and raw.lower() in ("auto", "none"):
-        return None
-    field = _DATASET_FIELDS.get(key) or _TRAIN_FIELDS.get(key)
-    kind = field.type
-    if kind in ("bool", bool) or key == "shift_enabled":
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean {key}={raw!r}")
-    if kind in ("int", int):
-        return int(raw)
-    if kind in ("float", float) or key == "shift_strength":
-        return float(raw)
-    return raw
-
-
 def _parse_config_file(path) -> dict[str, str]:
     pairs = {}
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, which no key or value accepts
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
@@ -103,16 +81,14 @@ def build_configs(args) -> tuple[DatasetSpec, TrainConfig]:
     if getattr(args, "seed", None) is not None:
         merged["seed"] = str(args.seed)
 
-    ds_kwargs, tr_kwargs = {}, {}
-    for key, raw in merged.items():
+    for key in merged:
         if key not in _DATASET_FIELDS and key not in _TRAIN_FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        value = _parse_value(key, raw)
-        if key in _DATASET_FIELDS:
-            ds_kwargs[key] = value
-        if key in _TRAIN_FIELDS:
-            tr_kwargs[key] = value
-    return DatasetSpec(**ds_kwargs), TrainConfig(**tr_kwargs)
+
+    def parsed(known):
+        return {key: parse_value(field, merged[key]) for key, field in known.items() if key in merged}
+
+    return DatasetSpec(**parsed(_DATASET_FIELDS)), TrainConfig(**parsed(_TRAIN_FIELDS))
 
 
 def _run_id(*parts: str) -> str:
@@ -195,9 +171,10 @@ def cmd_pretrain(args) -> int:
         blocks = train.model_blocks(cia, encoder, iaa, taa)
     save_checkpoint(args.out, blocks, optim, cfg, optim.step, extra=extra)
     train.write_metrics_csv(rows, _metrics_path(args), run_id)
-    last = rows[-1]
-    summary = " ".join(f"{k}={v:.6f}" for k, v in last.items() if k not in ("stage", "epoch"))
-    print(f"stage={last['stage']} epochs={last['epoch']} {summary}")
+    if rows:  # empty when resuming a finished run
+        last = rows[-1]
+        summary = " ".join(f"{k}={v:.6f}" for k, v in last.items() if k not in ("stage", "epoch"))
+        print(f"stage={last['stage']} epochs={last['epoch']} {summary}")
     print(f"wrote {args.out} and {_metrics_path(args)}")
     return EXIT_OK
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numkit as nk
+from .codec import FramedReader, write_framed
 from .encoders import FrozenEncoderSpec, frozen_image_embed, frozen_text_embed, shift_apply
 from .errors import ConfigError, FormatError
 from .losses import contrastive_accuracy
@@ -27,7 +28,10 @@ from .losses import contrastive_accuracy
 MAGIC = b"TAMM"
 VERSION = 1
 _HEADER_FMT = "<7IQdId"
-_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+_HEADER_FIELDS = (  # the DatasetSpec fields _HEADER_FMT packs, in order
+    "classes", "samples_per_class", "views", "latent_dim", "feature_dim", "points_per_cloud",
+    "heldout_classes", "seed", "split_ratio", "shift_enabled", "shift_strength",
+)
 
 PRETRAIN = "pretrain"
 EVAL_SEEN = "eval-seen"
@@ -43,7 +47,6 @@ ANCHOR_SCALE = 1.0
 CLASS_JITTER = 0.1
 INSTANCE_JITTER = 1.0
 INSTANCE_FRACTION = 0.375  # share of latent dims carrying per-sample identity
-VIEW_SCALE = 0.25
 GEOM_ANCHORS = 8
 GEOM_BASE_SCALE = 2.0  # separation of the fixed blob template (cube vertices)
 POINT_JITTER = 0.08
@@ -188,20 +191,23 @@ def _quantize32(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float32).astype(np.float64)
 
 
+def _frozen_encoder(spec: DatasetSpec, strength: float) -> FrozenEncoderSpec:
+    return FrozenEncoderSpec.build(
+        seed=spec.seed,
+        latent_dim=spec.latent_dim,
+        feature_dim=spec.feature_dim,
+        max_views=spec.views,
+        shift_enabled=spec.shift_enabled,
+        shift_strength=strength,
+    )
+
+
 def generate(spec: DatasetSpec) -> TripletSet:
     """Deterministically generate a triplet set from its spec."""
-    z, d, m = spec.latent_dim, spec.feature_dim, spec.views
+    z, m = spec.latent_dim, spec.views
     vis, sem = factor_masks(z, spec.split_ratio)
     n_cls_dims = z - max(1, int(round(z * INSTANCE_FRACTION)))
-    enc = FrozenEncoderSpec.build(
-        seed=spec.seed,
-        latent_dim=z,
-        feature_dim=d,
-        max_views=m,
-        view_scale=VIEW_SCALE,
-        shift_enabled=spec.shift_enabled,
-        shift_strength=0.0,
-    )
+    enc = _frozen_encoder(spec, 0.0)
 
     anchors = None
     rng = None
@@ -272,85 +278,29 @@ def generate(spec: DatasetSpec) -> TripletSet:
 
 
 def write_triplets(tset: TripletSet, path) -> None:
-    """magic, version, header, then f32 points / image / text and u32 labels."""
-    spec = tset.spec
-    if spec.shift_strength is None:
+    """Fixed header, then f32 points / image / text and u32 labels."""
+    if tset.spec.shift_strength is None:
         raise ConfigError("cannot store an untuned shift strength")
-    header = struct.pack(
-        _HEADER_FMT,
-        spec.classes,
-        spec.samples_per_class,
-        spec.views,
-        spec.latent_dim,
-        spec.feature_dim,
-        spec.points_per_cloud,
-        spec.heldout_classes,
-        spec.seed,
-        spec.split_ratio,
-        int(spec.shift_enabled),
-        spec.shift_strength,
-    )
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(header)
-        fh.write(np.ascontiguousarray(tset.points, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(tset.image_feats, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(tset.text_feats, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(tset.labels, dtype="<u4").tobytes())
-
-
-def _take(blob: bytes, offset: int, size: int, what: str) -> tuple[bytes, int]:
-    if offset + size > len(blob):
-        raise FormatError(f"truncated file: {what} needs {size} bytes at byte {offset}, only {len(blob) - offset} left")
-    return blob[offset : offset + size], offset + size
+    header = struct.pack(_HEADER_FMT, *(getattr(tset.spec, name) for name in _HEADER_FIELDS))
+    arrays = ((tset.points, "<f4"), (tset.image_feats, "<f4"), (tset.text_feats, "<f4"), (tset.labels, "<u4"))
+    write_framed(path, MAGIC, VERSION, [header, *(np.ascontiguousarray(a, dtype=t) for a, t in arrays)])
 
 
 def read_triplets(path) -> TripletSet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, off = _take(blob, 0, 4, "magic")
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r} at byte 0")
-    raw_version, off = _take(blob, off, 4, "version")
-    version = struct.unpack("<I", raw_version)[0]
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version} at byte 4")
-    raw_header, off = _take(blob, off, _HEADER_SIZE, "header")
-    (classes, spc, views, z, d, n_pts, heldout, seed, ratio, shift_flag, strength) = struct.unpack(
-        _HEADER_FMT, raw_header
-    )
-    spec = DatasetSpec(
-        classes=classes,
-        samples_per_class=spc,
-        views=views,
-        latent_dim=z,
-        feature_dim=d,
-        points_per_cloud=n_pts,
-        heldout_classes=heldout,
-        split_ratio=ratio,
-        shift_enabled=bool(shift_flag),
-        shift_strength=strength,
-        seed=seed,
-    )
-    n = spec.n_samples
-    raw, off = _take(blob, off, n * n_pts * 3 * 4, "points")
-    points = np.frombuffer(raw, dtype="<f4").reshape(n, n_pts, 3).astype(np.float64)
-    raw, off = _take(blob, off, n * views * d * 4, "image features")
-    image_feats = np.frombuffer(raw, dtype="<f4").reshape(n, views, d).astype(np.float64)
-    raw, off = _take(blob, off, n * d * 4, "text features")
-    text_feats = np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
-    raw, off = _take(blob, off, n * 4, "labels")
-    labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
-    if off != len(blob):
-        raise FormatError(f"trailing garbage: {len(blob) - off} unexpected bytes at byte {off}")
-    enc = FrozenEncoderSpec.build(
-        seed=spec.seed,
-        latent_dim=z,
-        feature_dim=d,
-        max_views=views,
-        view_scale=VIEW_SCALE,
-        shift_enabled=spec.shift_enabled,
-        shift_strength=strength,
-    )
+    reader = FramedReader(path, MAGIC, VERSION, "dataset")
+    header_at = reader.offset
+    header = dict(zip(_HEADER_FIELDS, reader.unpack(_HEADER_FMT, "header")))
+    # the header is outside input: a spec or encoder it cannot build is a
+    # format error; the encoder comes last, once the arrays matched its dims
+    try:
+        spec = DatasetSpec(**{**header, "shift_enabled": bool(header["shift_enabled"])})
+        n, views, d = spec.n_samples, spec.views, spec.feature_dim
+        points = reader.array("<f4", (n, spec.points_per_cloud, 3), "points")
+        image_feats = reader.array("<f4", (n, views, d), "image features")
+        text_feats = reader.array("<f4", (n, d), "text features")
+        labels = reader.array("<u4", (n,), "labels")
+        reader.finish()
+        enc = _frozen_encoder(spec, spec.shift_strength)
+    except ConfigError as exc:
+        raise FormatError(f"dataset header at byte {header_at}: {exc}") from None
     return TripletSet(spec, enc, points, image_feats, text_feats, labels)

@@ -22,7 +22,7 @@ from .numkit import GradPair
 N_SHIFT_PLANES = 6
 SHIFT_THETA_MAX = math.pi / 2.0
 SHIFT_BIAS_SCALE = 3.0  # bias-dominant shift: crushes matching at s=1 yet stays cheap to undo
-DEFAULT_VIEW_SCALE = 0.25
+VIEW_SCALE = 0.25  # size of the per-view perturbation of image features
 
 MIN_CLOUD_POINTS = 8
 
@@ -39,7 +39,6 @@ class FrozenEncoderSpec:
     latent_dim: int
     feature_dim: int
     max_views: int
-    view_scale: float
     shift_enabled: bool
     shift_strength: float
     text_proj: np.ndarray = field(repr=False, compare=False)
@@ -55,7 +54,6 @@ class FrozenEncoderSpec:
         latent_dim: int,
         feature_dim: int,
         max_views: int,
-        view_scale: float = DEFAULT_VIEW_SCALE,
         shift_enabled: bool = True,
         shift_strength: float = 0.0,
     ) -> "FrozenEncoderSpec":
@@ -83,7 +81,6 @@ class FrozenEncoderSpec:
             latent_dim=int(latent_dim),
             feature_dim=int(feature_dim),
             max_views=int(max_views),
-            view_scale=float(view_scale),
             shift_enabled=bool(shift_enabled),
             shift_strength=float(shift_strength),
             text_proj=text_proj,
@@ -149,7 +146,7 @@ def frozen_image_embed(latent, view_index: int, spec: FrozenEncoderSpec, shifted
     arr = nk.as_f64(latent, "image latent")
     if arr.shape[-1] != spec.latent_dim:
         raise ShapeError(f"latent dim {arr.shape[-1]} != spec latent dim {spec.latent_dim}")
-    raw = arr @ spec.text_proj + spec.view_scale * (arr @ spec.view_projs[view_index])
+    raw = arr @ spec.text_proj + VIEW_SCALE * (arr @ spec.view_projs[view_index])
     unshifted = nk.l2_normalize(raw).value
     if not shifted or not spec.shift_enabled or spec.shift_strength == 0.0:
         return unshifted

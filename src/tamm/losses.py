@@ -114,26 +114,14 @@ def trimodal_loss(f_sp, f_text, f_vp, views: Sequence, cfg: LossConfig) -> Trimo
     return TrimodalLoss(value, text_pair.value, image_term, backward)
 
 
-def contrastive_accuracy(fa, fb, direction: str = "image_to_text") -> float:
-    """Fraction of rows whose matched partner is strictly the nearest.
-
-    ``image_to_text`` compares each FA row against all FB rows (ties count as
-    failures); ``text_to_image`` flips that; ``mean`` averages both.
-    """
+def contrastive_accuracy(fa, fb) -> float:
+    """Fraction of FA rows whose matched FB row is strictly the nearest FB row (ties fail)."""
     a, b = _aligned_pair(fa, fb)
     n = a.shape[0]
     if n < 2:
         raise ConfigError("contrastive_accuracy needs at least two pairs")
-    if direction not in ("image_to_text", "text_to_image", "mean"):
-        raise ConfigError(f"unknown direction {direction!r}")
     scores = a @ b.T
     diag = np.diag(scores).copy()
     rivals = scores.copy()
     np.fill_diagonal(rivals, -np.inf)
-    acc_row = float(np.mean(diag > rivals.max(axis=1)))
-    if direction == "image_to_text":
-        return acc_row
-    acc_col = float(np.mean(diag > rivals.max(axis=0)))
-    if direction == "text_to_image":
-        return acc_col
-    return 0.5 * (acc_row + acc_col)
+    return float(np.mean(diag > rivals.max(axis=1)))

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adapters import AdapterParams, CiaConfig, cia_forward, dual_forward
+from .codec import FramedReader, format_value, parse_value, write_framed
 from .datagen import PRETRAIN, EVAL_HELDOUT, TripletSet, batched_contrastive_accuracy
 from .encoders import PointEncoderParams, encode_points
 from .errors import ConfigError, FormatError, IncompatibilityError, ShapeError
@@ -124,17 +125,21 @@ def _epoch_perm(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch, 0x5EED]).permutation(n)
 
 
-def _resume_state(resume: Checkpoint | None, params: dict, cfg: TrainConfig, stage: str):
+def _resume_state(resume: Checkpoint | None, params: dict, cfg: TrainConfig, stage: str, spe: int):
     if resume is None:
         return {name: p.copy() for name, p in params.items()}, OptimState.zeros(params), 0
     if resume.config != cfg:
         raise IncompatibilityError("resume checkpoint was written with a different train config")
     if resume.meta.get("trained_stage") != stage:
         raise IncompatibilityError(f"resume checkpoint is for stage {resume.meta.get('trained_stage')!r}, not {stage!r}")
+    # every checkpoint tamm writes sits on an epoch boundary
+    if not (0 <= resume.step <= spe * cfg.total_epochs and resume.step % spe == 0):
+        raise IncompatibilityError(f"resume step {resume.step} is not an epoch boundary ({spe} steps per epoch)")
     for name, p in params.items():
-        got = resume.blocks.get(name)
-        if got is None or got.shape != p.shape:
-            raise ShapeError(f"checkpoint block {name!r} has shape {None if got is None else got.shape}, expected {p.shape}")
+        for prefix, store in (("", resume.blocks), ("optim.m:", resume.optim.m), ("optim.v:", resume.optim.v)):
+            shape = getattr(store.get(name), "shape", None)
+            if shape != p.shape:
+                raise ShapeError(f"checkpoint block {prefix}{name!r} has shape {shape}, expected {p.shape}")
     restored = {name: resume.blocks[name].copy() for name in params}
     return restored, resume.optim, resume.step
 
@@ -150,7 +155,7 @@ def _fit(
     on_epoch=None,
     initial_row: bool = True,
 ) -> tuple[dict[str, np.ndarray], list[dict], OptimState]:
-    """The epoch loop every stage shares: shuffle, resume skip, cosine LR, AdamW.
+    """The epoch loop every stage shares: shuffle, cosine LR, AdamW.
 
     ``step(params, take, want_grads) -> (terms, grads)`` runs one batch of the
     ``n`` training examples; ``terms`` holds per-batch scalars whose epoch
@@ -158,7 +163,8 @@ def _fit(
     those means into the row's final metric fields. ``initial_row`` adds an
     epoch-0 row for the untrained state (fresh runs only), evaluated on the
     unshuffled batches. ``stop_after_epochs`` interrupts the run early without
-    altering the schedule, for checkpoint-and-resume.
+    altering the schedule, for checkpoint-and-resume. Resuming a finished run
+    trains nothing and returns no rows.
     """
     if cfg.batch_size > n:
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds {n} training examples")
@@ -166,7 +172,7 @@ def _fit(
     spe = n // bs
     total_steps = spe * cfg.total_epochs
     warmup_steps = spe * cfg.warmup_epochs
-    params, optim, start_step = _resume_state(resume, params, cfg, stage)
+    params, optim, start_step = _resume_state(resume, params, cfg, stage, spe)
 
     rows: list[dict] = []
 
@@ -185,8 +191,6 @@ def _fit(
         terms = []
         for b in range(spe):
             gstep = epoch * spe + b
-            if gstep < start_step:
-                continue
             batch_terms, grads = step(params, perm[b * bs : (b + 1) * bs], True)
             lr = cosine_lr(gstep, total_steps, warmup_steps, cfg.base_lr)
             params, optim = adamw_step(params, grads, optim, lr, cfg.betas, cfg.weight_decay)
@@ -392,32 +396,14 @@ def train_onestage(
 
 
 def config_to_meta(cfg: TrainConfig) -> dict[str, str]:
-    meta = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.name == "betas":
-            meta["betas"] = f"{v[0]!r},{v[1]!r}"
-        else:
-            meta[f.name] = repr(v) if isinstance(v, float) else str(v)
-    return meta
+    return {f.name: format_value(getattr(cfg, f.name)) for f in fields(cfg)}
 
 
 def config_from_meta(meta: dict[str, str]) -> TrainConfig:
-    kwargs = {}
-    for f in fields(TrainConfig):
-        raw = meta.get(f.name)
-        if raw is None:
-            raise FormatError(f"checkpoint meta is missing config key {f.name!r}")
-        if f.name == "betas":
-            a, b = raw.split(",")
-            kwargs["betas"] = (float(a), float(b))
-        elif f.type in ("int", int):
-            kwargs[f.name] = int(raw)
-        elif f.type in ("float", float):
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = raw
-    return TrainConfig(**kwargs)
+    try:
+        return TrainConfig(**{f.name: parse_value(f, meta[f.name]) for f in fields(TrainConfig)})
+    except KeyError as exc:
+        raise ConfigError(f"missing config key {exc}") from None
 
 
 def save_checkpoint(
@@ -428,7 +414,7 @@ def save_checkpoint(
     step: int,
     extra: dict[str, str] | None = None,
 ) -> None:
-    """magic, version, meta (key=value lines), then named f64 blocks."""
+    """Meta (key=value lines), then named f64 blocks, optimizer moments included."""
     meta = dict(config_to_meta(cfg))
     meta["step"] = str(step)
     for k, v in (extra or {}).items():
@@ -441,67 +427,39 @@ def save_checkpoint(
     for name, arr in optim.v.items():
         all_blocks[f"optim.v:{name}"] = arr
     meta_bytes = "\n".join(f"{k}={meta[k]}" for k in sorted(meta)).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(all_blocks)))
-        for name in sorted(all_blocks):
-            arr = np.ascontiguousarray(all_blocks[name], dtype="<f8")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    parts = [struct.pack("<I", len(meta_bytes)), meta_bytes, struct.pack("<I", len(all_blocks))]
+    for name in sorted(all_blocks):
+        arr = np.ascontiguousarray(all_blocks[name], dtype="<f8")
+        nb = name.encode("utf-8")
+        parts += [struct.pack(f"<I{len(nb)}sI{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape), arr]
+    write_framed(path, CKPT_MAGIC, CKPT_VERSION, parts)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-
-    def take(offset, size, what):
-        if offset + size > len(blob):
-            raise FormatError(f"truncated checkpoint: {what} needs {size} bytes at byte {offset}")
-        return blob[offset : offset + size], offset + size
-
-    magic, off = take(0, 4, "magic")
-    if magic != CKPT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r} at byte 0")
-    raw, off = take(off, 4, "version")
-    version = struct.unpack("<I", raw)[0]
-    if version != CKPT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at byte 4")
-    raw, off = take(off, 4, "meta length")
-    (meta_len,) = struct.unpack("<I", raw)
-    raw, off = take(off, meta_len, "meta")
+    reader = FramedReader(path, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
+    (meta_len,) = reader.unpack("<I", "meta length")
+    meta_at = reader.offset
     meta = {}
-    for line in raw.decode("utf-8").splitlines():
+    for line in reader.text(meta_len, "meta").splitlines():
         key, _, value = line.partition("=")
         meta[key] = value
-    raw, off = take(off, 4, "block count")
-    (n_blocks,) = struct.unpack("<I", raw)
+    (n_blocks,) = reader.unpack("<I", "block count")
     named: dict[str, np.ndarray] = {}
     for _ in range(n_blocks):
-        raw, off = take(off, 4, "block name length")
-        (name_len,) = struct.unpack("<I", raw)
-        raw, off = take(off, name_len, "block name")
-        name = raw.decode("utf-8")
-        raw, off = take(off, 4, "block rank")
-        (ndim,) = struct.unpack("<I", raw)
-        raw, off = take(off, 4 * ndim, "block dims")
-        dims = struct.unpack(f"<{ndim}I", raw)
-        count = int(np.prod(dims)) if dims else 1
-        raw, off = take(off, 8 * count, f"block {name!r} data")
-        named[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
-    if off != len(blob):
-        raise FormatError(f"trailing garbage: {len(blob) - off} unexpected bytes at byte {off}")
+        (name_len,) = reader.unpack("<I", "block name length")
+        name = reader.text(name_len, "block name")
+        (ndim,) = reader.unpack("<I", "block rank")
+        dims = reader.unpack(f"<{ndim}I", "block dims")
+        named[name] = reader.array("<f8", dims, f"block {name!r} data")
+    reader.finish()
     blocks = {k: v for k, v in named.items() if not k.startswith("optim.")}
     m = {k.split(":", 1)[1]: v for k, v in named.items() if k.startswith("optim.m:")}
     v = {k.split(":", 1)[1]: v for k, v in named.items() if k.startswith("optim.v:")}
-    step = int(meta.get("step", "0"))
-    cfg = config_from_meta(meta)
+    try:
+        step = int(meta.get("step", "0"))
+        cfg = config_from_meta(meta)
+    except ValueError as exc:  # ConfigError included
+        raise FormatError(f"checkpoint meta block at byte {meta_at}: {exc}") from None
     return Checkpoint(blocks, OptimState(m, v, step), cfg, step, meta)
 
 

@@ -141,6 +141,89 @@ class TestPretrain:
         assert load_checkpoint(half).step < load_checkpoint(full).step
         assert main([*run, "--out", str(resumed), "--resume", str(half)]) == 0
         assert resumed.read_bytes() == full.read_bytes()
+        # resuming the finished run trains nothing and rewrites the same checkpoint
+        assert main([*run, "--out", str(resumed), "--resume", str(full)]) == 0
+        assert resumed.read_bytes() == full.read_bytes()
+
+
+def edited_checkpoint(src, dst, old: bytes, new: bytes):
+    """Copy a checkpoint with one edit: inside the meta block (its length prefix
+    follows), or a same-length edit further on."""
+    blob = src.read_bytes()
+    meta_end = 12 + int.from_bytes(blob[8:12], "little")
+    meta = blob[12:meta_end]
+    if old in meta:
+        meta = meta.replace(old, new, 1)
+        blob = blob[:8] + len(meta).to_bytes(4, "little") + meta + blob[meta_end:]
+    else:
+        assert len(old) == len(new) and old in blob
+        blob = blob.replace(old, new, 1)
+    dst.write_bytes(blob)
+    return dst
+
+
+class TestMalformedInput:
+    """Bad config text exits 2 and a bad artifact exits 4, without a traceback."""
+
+    @pytest.mark.parametrize(
+        "item",
+        ["classes=abc", "classes=3.0", "betas=a,b", "betas=0.9", "betas=0.9,0.99,0.999", "shift_strength=abc",
+         "shift_enabled=maybe", "base_lr=x"],
+    )
+    def test_unparsable_config_value_exit_2(self, tmp_path, capsys, item):
+        assert main(["datagen", "--out", str(tmp_path / "x.bin"), "--set", item]) == 2
+        assert item.split("=")[0] in capsys.readouterr().err
+
+    def test_config_file_not_utf8_exit_2(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"classes=\xff\n")
+        assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "x.bin")]) == 2
+
+    # (old, new) edits of the stage-2 checkpoint that leave it unreadable
+    BAD_CHECKPOINTS = {
+        "meta-not-utf8": (b"alpha=", b"alpha\xff="),
+        "block-name-not-utf8": (b"cia.w1", b"cia.w\xff"),
+        "base_lr-not-float": (b"base_lr=0.0005", b"base_lr=x"),
+        "step-not-int": (b"step=", b"step=x"),
+        "betas-without-comma": (b"betas=0.9,", b"betas=0.9;"),
+        "config-fails-validation": (b"batch_size=8", b"batch_size=1"),
+    }
+    # edits that load but cannot be resumed
+    UNRESUMABLE = {
+        "step-mid-epoch": (b"step=21", b"step=20"),
+        "step-past-the-end": (b"step=21", b"step=28"),
+        "moment-missing": (b"optim.m:pe.w1", b"optim.m:pe.w9"),
+    }
+
+    def resume(self, workdir, ckpt, out):
+        return ["pretrain", "--stage", "2", "--data", str(workdir / "data.bin"), "--cia", str(workdir / "s1.ckpt"),
+                "--seed", "0", *SMALL, *FAST_TRAIN, "--resume", str(ckpt), "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["eval", "resume"])
+    @pytest.mark.parametrize("edit", BAD_CHECKPOINTS)
+    def test_malformed_checkpoint_exit_4(self, workdir, tmp_path, capsys, edit, command):
+        bad = edited_checkpoint(workdir / "s2.ckpt", tmp_path / "bad.ckpt", *self.BAD_CHECKPOINTS[edit])
+        if command == "eval":
+            argv = ["eval", "--task", "zeroshot", "--ckpt", str(bad), "--data", str(workdir / "data.bin")]
+        else:
+            argv = self.resume(workdir, bad, tmp_path / "out.ckpt")
+        assert main(argv) == 4
+        assert "byte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", UNRESUMABLE)
+    def test_unresumable_checkpoint_exit_4(self, workdir, tmp_path, edit):
+        assert load_checkpoint(workdir / "s2.ckpt").step == 21  # 3 epochs x 7 steps
+        bad = edited_checkpoint(workdir / "s2.ckpt", tmp_path / "bad.ckpt", *self.UNRESUMABLE[edit])
+        assert main(self.resume(workdir, bad, tmp_path / "out.ckpt")) == 4
+        assert not (tmp_path / "out.ckpt").exists()
+
+    def test_dataset_header_fails_spec_validation_exit_4(self, workdir, tmp_path, capsys):
+        blob = bytearray((workdir / "data.bin").read_bytes())
+        blob[32:36] = (0).to_bytes(4, "little")  # heldout_classes
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        assert main(["eval", "--task", "zeroshot", "--ckpt", str(workdir / "s2.ckpt"), "--data", str(bad)]) == 4
+        assert "heldout" in capsys.readouterr().err
 
 
 class TestEval:
