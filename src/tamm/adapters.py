@@ -3,8 +3,9 @@ two-layer dual heads (iaa/taa) that split point features into an
 image-aligned and a text-aligned sub-space.
 
 All adapters are bias-free two-layer maps sigma(x @ w1) @ w2 followed by
-row normalization; the cia additionally blends its correction with the
-input through a residual weight alpha.
+row normalization; the role fixes sigma (relu for the cia, gelu for the dual
+heads), and the cia additionally blends its correction with the input
+through a residual weight alpha.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ class CiaConfig:
 class AdapterParams:
     w1: np.ndarray  # (d, h)
     w2: np.ndarray  # (h, d)
-    activation: str  # "relu" | "gelu"
 
     def __post_init__(self):
         self.w1 = np.asarray(self.w1, dtype=np.float64)
         self.w2 = np.asarray(self.w2, dtype=np.float64)
         if self.w1.ndim != 2 or self.w2.ndim != 2 or self.w1.shape[1] != self.w2.shape[0]:
             raise ShapeError(f"adapter weights disagree: w1 {self.w1.shape}, w2 {self.w2.shape}")
-        if self.activation not in ("relu", "gelu"):
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
 
 def init_adapter(d: int, h: int, seed: int, kind: str) -> AdapterParams:
@@ -58,10 +56,10 @@ def init_adapter(d: int, h: int, seed: int, kind: str) -> AdapterParams:
     w1 = rng.uniform(-lim1, lim1, size=(d, h))
     if kind == "cia":
         w2 = rng.uniform(-CIA_W2_INIT_SCALE, CIA_W2_INIT_SCALE, size=(h, d))
-        return AdapterParams(w1, w2, "relu")
+        return AdapterParams(w1, w2)
     lim2 = math.sqrt(6.0 / h)
     w2 = rng.uniform(-lim2, lim2, size=(h, d))
-    return AdapterParams(w1, w2, "gelu")
+    return AdapterParams(w1, w2)
 
 
 _ACT = {"relu": nk.relu, "gelu": nk.gelu}
@@ -76,14 +74,14 @@ def _as_batch(x):
     raise ShapeError(f"adapter input must be 1-D or 2-D, got shape {arr.shape}")
 
 
-def _two_layer(x_in, params: AdapterParams, alpha: float) -> GradPair:
+def _two_layer(x_in, params: AdapterParams, alpha: float, act: str) -> GradPair:
     """normalize(alpha * act(x @ w1) @ w2 + (1 - alpha) * x), the body of every adapter.
 
     backward(g) -> (d_input, d_w1, d_w2).
     """
     x, squeezed = _as_batch(x_in)
     h = nk.matmul(x, params.w1)
-    a = _ACT[params.activation](h.value)
+    a = _ACT[act](h.value)
     y = nk.matmul(a.value, params.w2)
     out = nk.l2_normalize(alpha * y.value + (1.0 - alpha) * x)
     value = out.value[0] if squeezed else out.value
@@ -107,9 +105,7 @@ def cia_forward(f_img, params: AdapterParams, cfg: CiaConfig) -> GradPair:
 
     backward(g) -> (d_input, d_w1, d_w2).
     """
-    if params.activation != "relu":
-        raise ConfigError("cia uses the relu activation")
-    return _two_layer(f_img, params, cfg.alpha)
+    return _two_layer(f_img, params, cfg.alpha, "relu")
 
 
 def dual_forward(f_point, params: AdapterParams) -> GradPair:
@@ -117,6 +113,4 @@ def dual_forward(f_point, params: AdapterParams) -> GradPair:
 
     backward(g) -> (d_input, d_w1, d_w2).
     """
-    if params.activation != "gelu":
-        raise ConfigError("dual adapters use the gelu activation")
-    return _two_layer(f_point, params, 1.0)
+    return _two_layer(f_point, params, 1.0, "gelu")

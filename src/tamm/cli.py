@@ -7,8 +7,9 @@ the TAMM_SEED environment variable sits between the two for the seed. All
 outputs are deterministic functions of the effective config, so rerunning a
 command reproduces its artifacts byte for byte.
 
-Exit codes: 0 success, 1 check failure, 2 config error, 3 missing artifact,
-4 incompatibility (includes malformed binary artifacts).
+Exit codes: 0 success, 1 check failure, 2 config error, 3 a path that cannot
+be read or written (missing file, directory, permissions), 4 incompatibility
+(includes malformed binary artifacts).
 """
 
 from __future__ import annotations
@@ -95,11 +96,6 @@ def _run_id(*parts: str) -> str:
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:10]
 
 
-def _require_file(path, what: str):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{what} not found: {path}")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -125,14 +121,12 @@ def _metrics_path(args) -> str:
 
 
 def cmd_pretrain(args) -> int:
-    _require_file(args.data, "dataset")
     ds_spec, cfg = build_configs(args)
     data = read_triplets(args.data)
     d = data.spec.feature_dim
     adapter_hidden = max(1, d // 2)
     resume = None
     if args.resume:
-        _require_file(args.resume, "resume checkpoint")
         resume = load_checkpoint(args.resume)
     run_id = _run_id("pretrain", args.stage, str(cfg), str(data.spec))
 
@@ -146,7 +140,6 @@ def cmd_pretrain(args) -> int:
             if not args.cia:
                 print("stage 2 needs --cia <stage-1 checkpoint> (or --no-cia)", file=sys.stderr)
                 return EXIT_MISSING
-            _require_file(args.cia, "stage-1 checkpoint")
             cia, _, _, _ = train.blocks_to_model(load_checkpoint(args.cia).blocks)
             if cia is None:
                 raise IncompatibilityError(f"{args.cia} holds no cia parameters")
@@ -190,8 +183,10 @@ def _eval_split_indices(data, split: str) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
-    _require_file(args.ckpt, "checkpoint")
-    _require_file(args.data, "dataset")
+    try:
+        ks = sorted({int(k) for k in args.topk.split(",")})
+    except ValueError:
+        raise ConfigError(f"-k/--topk expects comma-separated integers, got {args.topk!r}") from None
     ck = load_checkpoint(args.ckpt)
     data = read_triplets(args.data)
     cia, encoder, iaa, taa = train.blocks_to_model(ck.blocks)
@@ -209,15 +204,12 @@ def cmd_eval(args) -> int:
     rows = []
 
     if args.task == "zeroshot":
-        ks = sorted({int(k) for k in args.topk.split(",")})
         bank = evaluate.build_category_bank(data, np.unique(labels))
         accs = evaluate.zeroshot_topk(f_vp, f_sp, labels, bank, args.mode, ks)
         for k in ks:
             rows.append(evaluate.report_row(f"zeroshot_top{k}", args.mode, args.split, accs[k]))
     elif args.task == "linear":
-        feats = {"both": np.concatenate([f_vp, f_sp], axis=1), "iaa": f_vp, "taa": f_sp}[
-            evaluate.canonical_mode(args.mode)
-        ]
+        feats = {"both": np.concatenate([f_vp, f_sp], axis=1), "iaa": f_vp, "taa": f_sp}[args.mode]
         acc = evaluate.linear_probe(feats, labels, seed=ck.config.seed)
         rows.append(evaluate.report_row("linear_probe", args.mode, args.split, acc))
     elif args.task == "fewshot":
@@ -233,9 +225,7 @@ def cmd_eval(args) -> int:
         if args.query_modality == "text":
             query = data.text_feats[qi]
         else:
-            n_views = args.views if args.views else 1
-            if not 1 <= n_views <= data.spec.views:
-                raise IncompatibilityError(f"requested {n_views} views, dataset stores {data.spec.views}")
+            n_views = train.views_count(data, args.views or 1)
             adapted = train.adapt_views(data.image_feats[qi : qi + 1, :n_views], cia, CiaConfig(ck.config.alpha))
             query = nk.l2_normalize(adapted[0].mean(axis=0)).value
         ranked = evaluate.retrieve(query, f_vp, f_sp, args.query_modality, args.topk_retrieve)
@@ -327,8 +317,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"missing artifact: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot read or write a path: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (ShapeError, IncompatibilityError, FormatError) as exc:
         print(f"incompatible artifacts: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """The two encodings tamm artifacts share. Framing: a 4-byte magic, a ``u32``
-version, then little-endian parts, written atomically; reads check each size
-against the bytes left before allocating, and errors name their byte offset.
+version, then little-endian parts; reads check each size against the bytes
+left before allocating, reject non-finite floats, and errors name their byte
+offset. Every artifact, CSVs included, is written through ``atomic_open``.
 Config values: ``key=value`` text in config files, ``--set`` flags and
 checkpoint meta, parsed by the type of the dataclass field it sets."""
 
@@ -9,25 +10,34 @@ from __future__ import annotations
 import math
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
 
 
-def write_framed(path, magic: bytes, version: int, parts) -> None:
-    """Write magic, version and the bytes-like ``parts`` to ``path`` atomically."""
+@contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """Open a temp file beside ``path`` that replaces ``path`` once the block
+    completes; if the block raises, ``path`` is untouched and the temp removed."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic)
-            fh.write(struct.pack("<I", version))
-            for part in parts:
-                fh.write(part)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_framed(path, magic: bytes, version: int, parts) -> None:
+    """Write magic, version and the bytes-like ``parts`` to ``path`` atomically."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", version))
+        for part in parts:
+            fh.write(part)
 
 
 class FramedReader:
@@ -59,9 +69,14 @@ class FramedReader:
         """The next ``shape`` values stored as ``dtype``, widened to float64 or int64."""
         if len(shape) > 32:  # numpy's rank limit
             raise FormatError(f"{self.kind} {what} has rank {len(shape)} at byte {self.offset}")
-        raw = self.take(math.prod(shape) * np.dtype(dtype).itemsize, what)
-        wide = np.int64 if np.dtype(dtype).kind in "iu" else np.float64
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(wide)
+        start, item = self.offset, np.dtype(dtype).itemsize
+        values = np.frombuffer(self.take(math.prod(shape) * item, what), dtype=dtype)
+        if values.dtype.kind in "iu":
+            return values.reshape(shape).astype(np.int64)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise FormatError(f"non-finite {self.kind} {what} value at byte {start + int(np.argmin(finite)) * item}")
+        return values.reshape(shape).astype(np.float64)
 
     def text(self, size: int, what: str) -> str:
         start = self.offset

@@ -114,7 +114,6 @@ def factor_masks(latent_dim: int, split_ratio: float) -> tuple[np.ndarray, np.nd
 @dataclass
 class TripletSet:
     spec: DatasetSpec
-    encoder: FrozenEncoderSpec
     points: np.ndarray  # (n, N, 3)
     image_feats: np.ndarray  # (n, views, d)
     text_feats: np.ndarray  # (n, d)
@@ -140,18 +139,19 @@ class TripletSet:
         return np.concatenate(picked)
 
 
-def batched_contrastive_accuracy(image_feats, text_feats, batch: int = ACCURACY_BATCH) -> float:
+def batched_contrastive_accuracy(image_feats, text_feats) -> float:
     """Mean image-to-text matching accuracy over fixed consecutive batches.
 
     ``image_feats`` is (n, d) or (n, m, d); every view contributes its own
-    batches. Trailing partial batches are dropped (all, if n < batch).
+    batches of ``ACCURACY_BATCH``. A trailing partial batch is dropped; fewer
+    than ``ACCURACY_BATCH`` samples form one batch.
     """
     imgs = np.asarray(image_feats, dtype=np.float64)
     txts = np.asarray(text_feats, dtype=np.float64)
     if imgs.ndim == 2:
         imgs = imgs[:, None, :]
     n = imgs.shape[0]
-    size = min(batch, n)
+    size = min(ACCURACY_BATCH, n)
     accs = []
     for k in range(imgs.shape[1]):
         for start in range(0, n - size + 1, size):
@@ -191,23 +191,12 @@ def _quantize32(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float32).astype(np.float64)
 
 
-def _frozen_encoder(spec: DatasetSpec, strength: float) -> FrozenEncoderSpec:
-    return FrozenEncoderSpec.build(
-        seed=spec.seed,
-        latent_dim=spec.latent_dim,
-        feature_dim=spec.feature_dim,
-        max_views=spec.views,
-        shift_enabled=spec.shift_enabled,
-        shift_strength=strength,
-    )
-
-
 def generate(spec: DatasetSpec) -> TripletSet:
     """Deterministically generate a triplet set from its spec."""
     z, m = spec.latent_dim, spec.views
     vis, sem = factor_masks(z, spec.split_ratio)
     n_cls_dims = z - max(1, int(round(z * INSTANCE_FRACTION)))
-    enc = _frozen_encoder(spec, 0.0)
+    enc = FrozenEncoderSpec.build(spec.seed, z, spec.feature_dim, max_views=m, shift_enabled=spec.shift_enabled)
 
     anchors = None
     rng = None
@@ -264,7 +253,6 @@ def generate(spec: DatasetSpec) -> TripletSet:
 
     return TripletSet(
         spec=replace(spec, shift_strength=strength),
-        encoder=enc,
         points=_quantize32(points),
         image_feats=_quantize32(image_feats),
         text_feats=_quantize32(text_feats),
@@ -287,20 +275,32 @@ def write_triplets(tset: TripletSet, path) -> None:
 
 
 def read_triplets(path) -> TripletSet:
+    """Read a triplet file; header and payload are outside input, so anything
+    a generated set could not hold is a ``FormatError`` naming its byte."""
     reader = FramedReader(path, MAGIC, VERSION, "dataset")
     header_at = reader.offset
     header = dict(zip(_HEADER_FIELDS, reader.unpack(_HEADER_FMT, "header")))
-    # the header is outside input: a spec or encoder it cannot build is a
-    # format error; the encoder comes last, once the arrays matched its dims
     try:
         spec = DatasetSpec(**{**header, "shift_enabled": bool(header["shift_enabled"])})
-        n, views, d = spec.n_samples, spec.views, spec.feature_dim
-        points = reader.array("<f4", (n, spec.points_per_cloud, 3), "points")
-        image_feats = reader.array("<f4", (n, views, d), "image features")
-        text_feats = reader.array("<f4", (n, d), "text features")
-        labels = reader.array("<u4", (n,), "labels")
-        reader.finish()
-        enc = _frozen_encoder(spec, spec.shift_strength)
     except ConfigError as exc:
         raise FormatError(f"dataset header at byte {header_at}: {exc}") from None
-    return TripletSet(spec, enc, points, image_feats, text_feats, labels)
+    n, views, d = spec.n_samples, spec.views, spec.feature_dim
+    points = reader.array("<f4", (n, spec.points_per_cloud, 3), "points")
+    image_feats = reader.array("<f4", (n, views, d), "image features")
+    text_feats = reader.array("<f4", (n, d), "text features")
+    labels_at = reader.offset
+    labels = reader.array("<u4", (n,), "labels")
+    reader.finish()
+    outside = np.flatnonzero(labels >= spec.classes)
+    if outside.size:
+        at = outside[0]
+        raise FormatError(f"dataset label {labels[at]} outside [0, {spec.classes}) at byte {labels_at + 4 * at}")
+    counts = np.bincount(labels, minlength=spec.classes)
+    miscounted = np.flatnonzero(counts != spec.samples_per_class)
+    if miscounted.size:
+        c = miscounted[0]
+        raise FormatError(
+            f"dataset labels at byte {labels_at}: class {c} has {counts[c]} samples, "
+            f"header says {spec.samples_per_class}"
+        )
+    return TripletSet(spec, points, image_feats, text_feats, labels)

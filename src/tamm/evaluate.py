@@ -9,6 +9,7 @@ is a pure function of its trial seed.
 
 from __future__ import annotations
 
+import csv
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import numkit as nk
 from .adapters import AdapterParams, dual_forward
+from .codec import atomic_open
 from .datagen import TripletSet
 from .encoders import PointEncoderParams, encode_points
 from .errors import ConfigError, ShapeError
@@ -26,14 +28,7 @@ from .train import OptimState, adamw_step
 QUERY_PER_CLASS = 20  # fixed by the episodic protocol, not configurable
 PROBE_EPOCHS = 100
 PROBE_LR = 1e-2
-
-_MODES = {"both": "both", "iaa": "iaa", "iaa_only": "iaa", "taa": "taa", "taa_only": "taa"}
-
-
-def canonical_mode(mode: str) -> str:
-    if mode not in _MODES:
-        raise ConfigError(f"unknown inference mode {mode!r}")
-    return _MODES[mode]
+FEATURE_BATCH = 256  # clouds per encoder forward in dual_features
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +63,11 @@ def dual_features(
     iaa: AdapterParams,
     taa: AdapterParams,
     indices: np.ndarray,
-    batch: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen forward pass: point features through both dual heads."""
     vp, sp = [], []
-    for start in range(0, indices.size, batch):
-        take = indices[start : start + batch]
+    for start in range(0, indices.size, FEATURE_BATCH):
+        take = indices[start : start + FEATURE_BATCH]
         f_p = encode_points(data.points[take], encoder).value
         vp.append(dual_forward(f_p, iaa).value)
         sp.append(dual_forward(f_p, taa).value)
@@ -90,7 +84,8 @@ def dual_features(
 
 def zeroshot_scores(f_vp, f_sp, bank: CategoryBank, mode: str = "both") -> np.ndarray:
     """Per-class similarity scores; ``both`` sums the two adapter scores."""
-    mode = canonical_mode(mode)
+    if mode not in ("both", "iaa", "taa"):
+        raise ConfigError(f"unknown inference mode {mode!r}")
     vp = np.atleast_2d(np.asarray(f_vp, dtype=np.float64))
     sp = np.atleast_2d(np.asarray(f_sp, dtype=np.float64))
     if vp.shape != sp.shape:
@@ -154,15 +149,15 @@ def probe_layer_loss(x, w, b, labels) -> GradPair:
     return GradPair(value, backward)
 
 
-def train_probe(features, labels, n_classes: int, epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR):
+def train_probe(features, labels, n_classes: int):
     """Full-batch AdamW (no decay) on a single linear layer from a zero init."""
     x = np.asarray(features, dtype=np.float64)
     params = {"w": np.zeros((x.shape[1], n_classes)), "b": np.zeros(n_classes)}
     state = OptimState.zeros(params)
-    for _ in range(epochs):
+    for _ in range(PROBE_EPOCHS):
         loss = probe_layer_loss(x, params["w"], params["b"], labels)
         dw, db = loss.backward(1.0)
-        params, state = adamw_step(params, {"w": dw, "b": db}, state, lr)
+        params, state = adamw_step(params, {"w": dw, "b": db}, state, PROBE_LR)
     return params["w"], params["b"]
 
 
@@ -171,12 +166,19 @@ def probe_accuracy(features, labels, w, b) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
 
 
+def _probe_score(x: np.ndarray, y: np.ndarray, train_idx: np.ndarray, test_idx: np.ndarray) -> float:
+    """Train a probe over the classes present in ``train_idx`` (remapped to
+    0..C-1 in id order) and return its accuracy on ``test_idx``, whose
+    classes must be among them."""
+    class_ids = np.unique(y[train_idx])
+    w, b = train_probe(x[train_idx], np.searchsorted(class_ids, y[train_idx]), class_ids.size)
+    return probe_accuracy(x[test_idx], np.searchsorted(class_ids, y[test_idx]), w, b)
+
+
 def linear_probe(
     features,
     labels,
     split_ratio: float = 0.8,
-    probe_epochs: int = PROBE_EPOCHS,
-    lr: float = PROBE_LR,
     seed: int = 0,
 ) -> float:
     """Deterministic stratified split, train the linear layer, return test accuracy."""
@@ -185,7 +187,8 @@ def linear_probe(
     if not 0.0 < split_ratio < 1.0:
         raise ConfigError(f"split ratio must be in (0, 1), got {split_ratio}")
     class_ids = np.unique(y)
-    remap = {int(c): i for i, c in enumerate(class_ids)}
+    if class_ids.size < 2:  # every class keeps at least one training sample
+        raise ConfigError("probe training split covers fewer than two classes")
     train_idx, test_idx = [], []
     for c in class_ids:
         rows = np.flatnonzero(y == c)
@@ -195,14 +198,9 @@ def linear_probe(
         test_idx.append(rows[perm[n_train:]])
     train_idx = np.concatenate(train_idx)
     test_idx = np.concatenate(test_idx)
-    y_train = np.array([remap[int(c)] for c in y[train_idx]])
-    if np.unique(y_train).size < 2:
-        raise ConfigError("probe training split covers fewer than two classes")
     if test_idx.size == 0:
         raise ConfigError("probe test split is empty; lower the split ratio")
-    w, b = train_probe(x[train_idx], y_train, class_ids.size, probe_epochs, lr)
-    y_test = np.array([remap[int(c)] for c in y[test_idx]])
-    return probe_accuracy(x[test_idx], y_test, w, b)
+    return _probe_score(x, y, train_idx, test_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +252,6 @@ def fewshot_eval(
     shots: int,
     trials: int = 10,
     seed: int = 0,
-    probe_epochs: int = PROBE_EPOCHS,
-    lr: float = PROBE_LR,
 ) -> FewshotResult:
     """Mean and sample std of probe accuracy over independent episodes.
 
@@ -268,12 +264,7 @@ def fewshot_eval(
     accs = []
     for t in range(trials):
         ep = fewshot_episode(y, ways, shots, trial_seed=seed * 100003 + t)
-        chosen = np.unique(y[ep.support])
-        remap = {int(c): i for i, c in enumerate(chosen)}
-        y_sup = np.array([remap[int(c)] for c in y[ep.support]])
-        w, b = train_probe(x[ep.support], y_sup, chosen.size, probe_epochs, lr)
-        y_qry = np.array([remap[int(c)] for c in y[ep.query]])
-        accs.append(probe_accuracy(x[ep.query], y_qry, w, b))
+        accs.append(_probe_score(x, y, ep.support, ep.query))
     std = float(np.std(accs, ddof=1)) if trials > 1 else 0.0
     return FewshotResult(float(np.mean(accs)), std, tuple(accs))
 
@@ -323,9 +314,7 @@ def format_report(rows: list[dict]) -> str:
 
 
 def write_report_csv(rows: list[dict], path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "mode", "split", "value"])
         for r in rows:

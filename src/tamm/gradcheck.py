@@ -30,18 +30,32 @@ def _unit_rows(rng, n, d):
     return nk.l2_normalize(rng.normal(size=(n, d))).value
 
 
+def _projected(forward, w):
+    """Check function for an array-valued op: the scalar sum(w * out) and its gradients."""
+
+    def f(params):
+        out = forward(params)
+        return float(np.sum(w * out.value)), list(out.backward(w))
+
+    return f
+
+
+def _scalar(forward):
+    """Check function for a scalar-valued op: its value and its gradients."""
+
+    def f(params):
+        out = forward(params)
+        return float(out.value), list(out.backward(1.0))
+
+    return f
+
+
 def _case_matmul():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
     w = rng.normal(size=(3, 2))
-
-    def f(params):
-        out = nk.matmul(params[0], params[1])
-        da, db = out.backward(w)
-        return float(np.sum(w * out.value)), [da, db]
-
-    return f, [a, b]
+    return _projected(lambda p: nk.matmul(p[0], p[1]), w), [a, b]
 
 
 def _case_relu():
@@ -49,52 +63,28 @@ def _case_relu():
     # keep pre-activations away from the kink so central differences stay on one branch
     x = rng.uniform(0.05, 1.0, size=(5, 7)) * rng.choice([-1.0, 1.0], size=(5, 7))
     w = rng.normal(size=(5, 7))
-
-    def f(params):
-        out = nk.relu(params[0])
-        (dx,) = out.backward(w)
-        return float(np.sum(w * out.value)), [dx]
-
-    return f, [x]
+    return _projected(lambda p: nk.relu(p[0]), w), [x]
 
 
 def _case_gelu():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(5, 7))
     w = rng.normal(size=(5, 7))
-
-    def f(params):
-        out = nk.gelu(params[0])
-        (dx,) = out.backward(w)
-        return float(np.sum(w * out.value)), [dx]
-
-    return f, [x]
+    return _projected(lambda p: nk.gelu(p[0]), w), [x]
 
 
 def _case_normalize_vector():
     rng = np.random.default_rng(14)
     x = rng.normal(size=8)
     w = rng.normal(size=8)
-
-    def f(params):
-        out = nk.l2_normalize(params[0])
-        (dx,) = out.backward(w)
-        return float(np.sum(w * out.value)), [dx]
-
-    return f, [x]
+    return _projected(lambda p: nk.l2_normalize(p[0]), w), [x]
 
 
 def _case_normalize_rows():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(4, 6))
     w = rng.normal(size=(4, 6))
-
-    def f(params):
-        out = nk.l2_normalize(params[0])
-        (dx,) = out.backward(w)
-        return float(np.sum(w * out.value)), [dx]
-
-    return f, [x]
+    return _projected(lambda p: nk.l2_normalize(p[0]), w), [x]
 
 
 def _case_cia():
@@ -106,29 +96,15 @@ def _case_cia():
     x = _unit_rows(rng, 3, 8)
     w = rng.normal(size=(3, 8))
     cfg = CiaConfig(0.2)
-
-    def f(params):
-        cur = AdapterParams(params[1], params[2], "relu")
-        out = cia_forward(params[0], cur, cfg)
-        dx, dw1, dw2 = out.backward(w)
-        return float(np.sum(w * out.value)), [dx, dw1, dw2]
-
-    return f, [x, w1, w2]
+    return _projected(lambda p: cia_forward(p[0], AdapterParams(p[1], p[2]), cfg), w), [x, w1, w2]
 
 
 def _case_dual():
     rng = np.random.default_rng(18)
-    p = init_adapter(8, 16, 180, "dual")
+    a = init_adapter(8, 16, 180, "dual")
     x = _unit_rows(rng, 3, 8)
     w = rng.normal(size=(3, 8))
-
-    def f(params):
-        cur = AdapterParams(params[1], params[2], "gelu")
-        out = dual_forward(params[0], cur)
-        dx, dw1, dw2 = out.backward(w)
-        return float(np.sum(w * out.value)), [dx, dw1, dw2]
-
-    return f, [x, p.w1, p.w2]
+    return _projected(lambda p: dual_forward(p[0], AdapterParams(p[1], p[2])), w), [x, a.w1, a.w2]
 
 
 def _case_contrastive():
@@ -136,13 +112,7 @@ def _case_contrastive():
     fa = _unit_rows(rng, 5, 6)
     fb = _unit_rows(rng, 5, 6)
     cfg = LossConfig(0.07)
-
-    def f(params):
-        out = contrastive_loss(params[0], params[1], cfg)
-        da, db = out.backward(1.0)
-        return float(out.value), [da, db]
-
-    return f, [fa, fb]
+    return _scalar(lambda p: contrastive_loss(p[0], p[1], cfg)), [fa, fb]
 
 
 def _case_realign():
@@ -150,13 +120,7 @@ def _case_realign():
     fa = _unit_rows(rng, 5, 6)
     fb = _unit_rows(rng, 5, 6)
     cfg = LossConfig(0.1)
-
-    def f(params):
-        out = realign_loss(params[0], fb, cfg)
-        (da,) = out.backward(1.0)
-        return float(out.value), [da]
-
-    return f, [fa]
+    return _scalar(lambda p: realign_loss(p[0], fb, cfg)), [fa]
 
 
 def _case_trimodal():
@@ -166,28 +130,15 @@ def _case_trimodal():
     texts = _unit_rows(rng, 4, 6)
     views = [_unit_rows(rng, 4, 6) for _ in range(2)]
     cfg = LossConfig(0.07)
-
-    def f(params):
-        out = trimodal_loss(params[0], texts, params[1], views, cfg)
-        d_sp, d_vp = out.backward(1.0)
-        return float(out.value), [d_sp, d_vp]
-
-    return f, [f_sp, f_vp]
+    return _scalar(lambda p: trimodal_loss(p[0], texts, p[1], views, cfg)), [f_sp, f_vp]
 
 
 def _case_point_encoder():
     rng = np.random.default_rng(22)
-    p = init_point_encoder(6, 5, 220)
+    pe = init_point_encoder(6, 5, 220)
     cloud = rng.normal(size=(12, 3))
     w = rng.normal(size=5)
-
-    def f(params):
-        cur = PointEncoderParams(params[0], params[1], params[2])
-        out = encode_points(cloud, cur)
-        dw1, dw2, dh = out.backward(w)
-        return float(np.sum(w * out.value)), [dw1, dw2, dh]
-
-    return f, [p.w1, p.w2, p.head]
+    return _projected(lambda p: encode_points(cloud, PointEncoderParams(*p)), w), [pe.w1, pe.w2, pe.head]
 
 
 def _case_stage2_composite():
@@ -201,12 +152,9 @@ def _case_stage2_composite():
     cfg = LossConfig(0.07)
 
     def f(params):
-        cur_pe = PointEncoderParams(params[0], params[1], params[2])
-        cur_iaa = AdapterParams(params[3], params[4], "gelu")
-        cur_taa = AdapterParams(params[5], params[6], "gelu")
-        enc = encode_points(clouds, cur_pe)
-        vp = dual_forward(enc.value, cur_iaa)
-        sp = dual_forward(enc.value, cur_taa)
+        enc = encode_points(clouds, PointEncoderParams(params[0], params[1], params[2]))
+        vp = dual_forward(enc.value, AdapterParams(params[3], params[4]))
+        sp = dual_forward(enc.value, AdapterParams(params[5], params[6]))
         out = trimodal_loss(sp.value, texts, vp.value, views, cfg)
         d_sp, d_vp = out.backward(1.0)
         g_fp_t, g_t1, g_t2 = sp.backward(d_sp)
@@ -223,13 +171,7 @@ def _case_probe_layer():
     w = rng.normal(size=(4, 3)) * 0.1
     b = rng.normal(size=3) * 0.1
     labels = rng.integers(0, 3, size=6)
-
-    def f(params):
-        out = probe_layer_loss(x, params[0], params[1], labels)
-        dw, db = out.backward(1.0)
-        return float(out.value), [dw, db]
-
-    return f, [w, b]
+    return _scalar(lambda p: probe_layer_loss(x, p[0], p[1], labels)), [w, b]
 
 
 CASES: dict[str, Callable] = {
@@ -249,7 +191,7 @@ CASES: dict[str, Callable] = {
 }
 
 
-def run_gradcheck(eps: float = 1e-5, corrupt: str | None = None) -> list[GradcheckResult]:
+def run_gradcheck(corrupt: str | None = None) -> list[GradcheckResult]:
     """Run every case; ``corrupt`` mis-scales one case's first analytic gradient."""
     results = []
     for name, builder in CASES.items():
@@ -261,9 +203,9 @@ def run_gradcheck(eps: float = 1e-5, corrupt: str | None = None) -> list[Gradche
                 value, grads = _inner(p)
                 return value, [grads[0] * 1.001, *grads[1:]]
 
-        results.append(GradcheckResult(name, nk.finite_diff_check(f, params, eps)))
+        results.append(GradcheckResult(name, nk.finite_diff_check(f, params)))
     return results
 
 
-def all_pass(results: list[GradcheckResult], tolerance: float = TOLERANCE) -> bool:
-    return all(r.max_rel_error < tolerance for r in results)
+def all_pass(results: list[GradcheckResult]) -> bool:
+    return all(r.max_rel_error < TOLERANCE for r in results)

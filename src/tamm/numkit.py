@@ -12,9 +12,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateVectorError, NumericError, ShapeError
+from .errors import DegenerateVectorError, NumericError, ShapeError
 
 NORM_EPS = 1e-12
+FD_STEP = 1e-5  # central-difference step of finite_diff_check
 
 # tanh-approximation constants for gelu
 GELU_CUBIC = 0.044715
@@ -112,7 +113,7 @@ def gelu(x) -> GradPair:
     return GradPair(out, backward)
 
 
-def l2_normalize(v, eps: float = NORM_EPS) -> GradPair:
+def l2_normalize(v) -> GradPair:
     """Unit-norm a vector, or each row of a matrix.
 
     Backward applies the projection Jacobian (I - u u^T) / ||v|| per row.
@@ -121,8 +122,8 @@ def l2_normalize(v, eps: float = NORM_EPS) -> GradPair:
     if arr.ndim not in (1, 2):
         raise ShapeError(f"l2_normalize needs a vector or matrix, got shape {arr.shape}")
     norms = np.linalg.norm(arr, axis=-1, keepdims=True)
-    if np.any(norms <= eps):
-        raise DegenerateVectorError(f"cannot normalize: norm <= {eps}")
+    if np.any(norms <= NORM_EPS):
+        raise DegenerateVectorError(f"cannot normalize: norm <= {NORM_EPS}")
     unit = arr / norms
 
     def backward(g):
@@ -139,15 +140,14 @@ def logsumexp_rows(mat: np.ndarray) -> np.ndarray:
     return (m + np.log(np.exp(mat - m).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def finite_diff_check(f, params, eps: float = 1e-5) -> float:
-    """Max relative error of analytic gradients against central differences.
+def finite_diff_check(f, params) -> float:
+    """Max relative error of analytic gradients against central differences
+    of step ``FD_STEP``.
 
     ``f`` maps a list of float64 arrays to ``(scalar, [grad arrays])`` and must
     not mutate its argument. Per coordinate the error is
     |analytic - numeric| / max(1e-12, |analytic| + |numeric|).
     """
-    if eps <= 0:
-        raise ConfigError("finite_diff_check eps must be positive")
     work = [np.array(p, dtype=np.float64) for p in params]
     value, grads = f(work)
     if not np.isfinite(value):
@@ -161,14 +161,14 @@ def finite_diff_check(f, params, eps: float = 1e-5) -> float:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         for idx in np.ndindex(p.shape):
             orig = p[idx]
-            p[idx] = orig + eps
+            p[idx] = orig + FD_STEP
             f_plus = f(work)[0]
-            p[idx] = orig - eps
+            p[idx] = orig - FD_STEP
             f_minus = f(work)[0]
             p[idx] = orig
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 raise NumericError(f"finite_diff_check: f non-finite near coordinate {idx}")
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             analytic = float(g[idx])
             rel = abs(analytic - numeric) / max(1e-12, abs(analytic) + abs(numeric))
             if rel > max_rel:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adapters import AdapterParams, CiaConfig, cia_forward, dual_forward
-from .codec import FramedReader, format_value, parse_value, write_framed
+from .codec import FramedReader, atomic_open, format_value, parse_value, write_framed
 from .datagen import PRETRAIN, EVAL_HELDOUT, TripletSet, batched_contrastive_accuracy
 from .encoders import PointEncoderParams, encode_points
 from .errors import ConfigError, FormatError, IncompatibilityError, ShapeError
@@ -236,7 +236,7 @@ def train_stage1(
             return {"loss": loss.value}, None
         (d_adapted,) = loss.backward(1.0)
         _, gw1, gw2 = adapted.backward(d_adapted)
-        return {"loss": loss.value}, model_blocks(AdapterParams(gw1, gw2, "relu"))
+        return {"loss": loss.value}, model_blocks(AdapterParams(gw1, gw2))
 
     def on_epoch(params, means):
         cur = blocks_to_model(params)[0]
@@ -260,7 +260,7 @@ def adapt_views(image_feats: np.ndarray, cia: AdapterParams | None, cfg: CiaConf
     return flat.reshape(image_feats.shape)
 
 
-def _views_count(data: TripletSet, views_limit: int | None) -> int:
+def views_count(data: TripletSet, views_limit: int | None) -> int:
     m = data.spec.views if views_limit is None else views_limit
     if not 1 <= m <= data.spec.views:
         raise IncompatibilityError(f"requested {views_limit} views, dataset stores {data.spec.views}")
@@ -284,8 +284,8 @@ def _trimodal_step(params, clouds, texts, views, loss_cfg: LossConfig, want_grad
     grads = model_blocks(
         None,
         PointEncoderParams(g_w1, g_w2, g_head),
-        AdapterParams(g_v1, g_v2, "gelu"),
-        AdapterParams(g_t1, g_t2, "gelu"),
+        AdapterParams(g_v1, g_v2),
+        AdapterParams(g_t1, g_t2),
     )
     return tl, grads
 
@@ -306,7 +306,7 @@ def train_stage2(
     Image features pass once through the frozen cia (``None`` trains directly
     against the raw, shifted features). Both loss components are logged.
     """
-    m = _views_count(data, views_limit)
+    m = views_count(data, views_limit)
     idx = data.indices(PRETRAIN)
     adapted = adapt_views(data.image_feats[idx][:, :m], cia, CiaConfig(cfg.alpha))
     texts = data.text_feats[idx]
@@ -341,7 +341,7 @@ def train_onestage(
     The trimodal term still treats the adapted image features as frozen
     targets, so the cia only learns through the realign term.
     """
-    m = _views_count(data, views_limit)
+    m = views_count(data, views_limit)
     idx = data.indices(PRETRAIN)
     images = data.image_feats[idx][:, :m]
     texts = data.text_feats[idx]
@@ -369,7 +369,7 @@ def train_onestage(
                 _, gw1, gw2 = av.backward(d_ad)
                 g_c1 += gw1
                 g_c2 += gw2
-            grads.update(model_blocks(AdapterParams(g_c1, g_c2, "relu")))
+            grads.update(model_blocks(AdapterParams(g_c1, g_c2)))
         return terms, grads
 
     def on_epoch(params, means):
@@ -484,16 +484,16 @@ def model_blocks(
 def blocks_to_model(
     blocks: dict[str, np.ndarray],
 ) -> tuple[AdapterParams | None, PointEncoderParams | None, AdapterParams | None, AdapterParams | None]:
-    cia = AdapterParams(blocks["cia.w1"], blocks["cia.w2"], "relu") if "cia.w1" in blocks else None
+    cia = AdapterParams(blocks["cia.w1"], blocks["cia.w2"]) if "cia.w1" in blocks else None
     pe = PointEncoderParams(blocks["pe.w1"], blocks["pe.w2"], blocks["pe.head"]) if "pe.w1" in blocks else None
-    iaa = AdapterParams(blocks["iaa.w1"], blocks["iaa.w2"], "gelu") if "iaa.w1" in blocks else None
-    taa = AdapterParams(blocks["taa.w1"], blocks["taa.w2"], "gelu") if "taa.w1" in blocks else None
+    iaa = AdapterParams(blocks["iaa.w1"], blocks["iaa.w2"]) if "iaa.w1" in blocks else None
+    taa = AdapterParams(blocks["taa.w1"], blocks["taa.w2"]) if "taa.w1" in blocks else None
     return cia, pe, iaa, taa
 
 
 def write_metrics_csv(rows: list[dict], path, run_id: str) -> None:
     """Long-format metrics table: run_id, stage, epoch, metric, value."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_id", "stage", "epoch", "metric", "value"])
         for row in rows:

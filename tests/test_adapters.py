@@ -23,7 +23,7 @@ class TestCia:
 
     def test_two_dim_worked_example(self):
         # A_C(f) = (0, 1) for f = (1, 0): w1 = [[1], [0]], w2 = [[0, 1]]
-        p = AdapterParams(np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]]), "relu")
+        p = AdapterParams(np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]]))
         out = cia_forward(np.array([1.0, 0.0]), p, CiaConfig(alpha=0.2)).value
         blend = np.array([0.8, 0.2])
         np.testing.assert_allclose(out, blend / np.linalg.norm(blend), atol=1e-12)
@@ -45,16 +45,11 @@ class TestCia:
         cfg = CiaConfig(0.2)
 
         def f(params):
-            out = cia_forward(params[0], AdapterParams(params[1], params[2], "relu"), cfg)
+            out = cia_forward(params[0], AdapterParams(params[1], params[2]), cfg)
             dx, dw1, dw2 = out.backward(w)
             return float(np.sum(w * out.value)), [dx, dw1, dw2]
 
         assert nk.finite_diff_check(f, [x, w1, w2]) < 1e-6
-
-    def test_requires_relu(self):
-        p = init_adapter(4, 2, 0, "dual")
-        with pytest.raises(ConfigError):
-            cia_forward(np.ones(4), p, CiaConfig())
 
     def test_alpha_range_validated(self):
         with pytest.raises(ConfigError):
@@ -63,12 +58,12 @@ class TestCia:
 
 class TestDual:
     def test_zero_second_layer_degenerates(self):
-        p = AdapterParams(np.ones((4, 3)), np.zeros((3, 4)), "gelu")
+        p = AdapterParams(np.ones((4, 3)), np.zeros((3, 4)))
         with pytest.raises(DegenerateVectorError):
             dual_forward(unit([1.0, 2.0, 0.5, -0.3]), p)
 
     def test_identity_weights_worked_example(self):
-        p = AdapterParams(np.eye(2), np.eye(2), "gelu")
+        p = AdapterParams(np.eye(2), np.eye(2))
         f = np.array([0.6, 0.8])
         expected = nk.l2_normalize(nk.gelu(f).value).value
         np.testing.assert_allclose(dual_forward(f, p).value, expected, atol=1e-14)
@@ -80,16 +75,11 @@ class TestDual:
         w = rng.normal(size=(3, 8))
 
         def f(params):
-            out = dual_forward(params[0], AdapterParams(params[1], params[2], "gelu"))
+            out = dual_forward(params[0], AdapterParams(params[1], params[2]))
             dx, dw1, dw2 = out.backward(w)
             return float(np.sum(w * out.value)), [dx, dw1, dw2]
 
         assert nk.finite_diff_check(f, [x, p.w1, p.w2]) < 1e-6
-
-    def test_requires_gelu(self):
-        p = init_adapter(4, 2, 0, "cia")
-        with pytest.raises(ConfigError):
-            dual_forward(np.ones(4), p)
 
     def test_parameter_isolation(self):
         rng = np.random.default_rng(8)
@@ -123,14 +113,10 @@ class TestInit:
         norms = np.linalg.norm(dual_forward(f, p).value, axis=1)
         np.testing.assert_allclose(norms, np.ones(4), atol=1e-12)
 
-    def test_activation_tags(self):
-        assert init_adapter(4, 2, 0, "cia").activation == "relu"
-        assert init_adapter(4, 2, 0, "dual").activation == "gelu"
-
     def test_bad_kind(self):
         with pytest.raises(ConfigError):
             init_adapter(4, 2, 0, "mlp")
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
-            AdapterParams(np.ones((4, 3)), np.ones((4, 3)), "relu")
+            AdapterParams(np.ones((4, 3)), np.ones((4, 3)))

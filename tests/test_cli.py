@@ -1,10 +1,13 @@
 import functools
+import struct
 
+import numpy as np
 import pytest
 
 from tamm import train
 from tamm.cli import main
-from tamm.datagen import read_triplets
+from tamm.datagen import DatasetSpec, TripletSet, read_triplets, write_triplets
+from tamm.encoders import FrozenEncoderSpec
 from tamm.gradcheck import TOLERANCE, run_gradcheck
 from tamm.train import load_checkpoint
 
@@ -168,11 +171,17 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "item",
         ["classes=abc", "classes=3.0", "betas=a,b", "betas=0.9", "betas=0.9,0.99,0.999", "shift_strength=abc",
-         "shift_enabled=maybe", "base_lr=x"],
+         "shift_enabled=maybe", "base_lr=x", "topk=abc"],
     )
-    def test_unparsable_config_value_exit_2(self, tmp_path, capsys, item):
-        assert main(["datagen", "--out", str(tmp_path / "x.bin"), "--set", item]) == 2
-        assert item.split("=")[0] in capsys.readouterr().err
+    def test_unparsable_config_value_exit_2(self, workdir, tmp_path, capsys, item):
+        key, _, value = item.partition("=")
+        if key == "topk":  # an eval flag rather than a config key
+            argv = ["eval", "--task", "zeroshot", "--ckpt", str(workdir / "s2.ckpt"), "--data",
+                    str(workdir / "data.bin"), "-k", value]
+        else:
+            argv = ["datagen", "--out", str(tmp_path / "x.bin"), "--set", item]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
 
     def test_config_file_not_utf8_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -224,6 +233,55 @@ class TestMalformedInput:
         bad.write_bytes(bytes(blob))
         assert main(["eval", "--task", "zeroshot", "--ckpt", str(workdir / "s2.ckpt"), "--data", str(bad)]) == 4
         assert "heldout" in capsys.readouterr().err
+
+    # payload edits of the SMALL dataset: (struct format, 4-byte words from the end of the file, new value)
+    N_SAMPLES = 5 * 26
+    BAD_PAYLOADS = {
+        "label-out-of-range": ("<I", 1, 5),
+        "class-count-off": ("<I", N_SAMPLES, 1),  # the first sample, of class 0, relabelled 1
+        "nan-point": ("<f", N_SAMPLES * (1 + 64 + 2 * 64 + 16 * 3), float("nan")),  # labels, text, image, points
+        "inf-text-feature": ("<f", N_SAMPLES + 7, float("inf")),
+    }
+
+    @pytest.mark.parametrize("edit", BAD_PAYLOADS)
+    def test_dataset_payload_rejected_exit_4(self, workdir, tmp_path, capsys, edit):
+        fmt, from_end, value = self.BAD_PAYLOADS[edit]
+        blob = bytearray((workdir / "data.bin").read_bytes())
+        at = len(blob) - 4 * from_end
+        blob[at : at + 4] = struct.pack(fmt, value)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        assert main(["eval", "--task", "zeroshot", "--ckpt", str(workdir / "s2.ckpt"), "--data", str(bad)]) == 4
+        assert f"at byte {at}" in capsys.readouterr().err
+
+    def test_huge_feature_dim_reads_without_building_an_encoder(self, workdir, tmp_path, monkeypatch, capsys):
+        # latent_dim just below feature_dim = 2^17 once made every read build a
+        # frozen encoder with a feature_dim x feature_dim (128 GB) matrix
+        def no_encoder(*args, **kwargs):
+            raise AssertionError("reading a dataset must not build the frozen encoder")
+
+        monkeypatch.setattr(FrozenEncoderSpec, "build", no_encoder)
+        d = 2**17
+        spec = DatasetSpec(classes=2, samples_per_class=1, views=1, latent_dim=d - 1, feature_dim=d,
+                           points_per_cloud=8, heldout_classes=1, shift_strength=0.5)
+        path = tmp_path / "huge.bin"
+        write_triplets(TripletSet(spec, np.zeros((2, 8, 3)), np.ones((2, 1, d)), np.ones((2, d)), np.arange(2)), path)
+        assert path.stat().st_size < 2_200_000
+        assert read_triplets(path).spec == spec
+        assert main(["eval", "--task", "zeroshot", "--ckpt", str(workdir / "s2.ckpt"), "--data", str(path)]) == 4
+        assert str(d) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["data-is-a-directory", "out-parent-missing", "report-parent-missing"])
+    def test_unusable_path_exit_3(self, workdir, tmp_path, case):
+        evaluate = ["eval", "--task", "zeroshot", "-k", "1", "--ckpt", str(workdir / "s2.ckpt")]
+        argv = {
+            "data-is-a-directory": [*evaluate, "--data", str(tmp_path)],
+            "out-parent-missing": ["datagen", "--out", str(tmp_path / "missing" / "x.bin"), "--seed", "0", *SMALL],
+            "report-parent-missing": [*evaluate, "--data", str(workdir / "data.bin"),
+                                      "--report", str(tmp_path / "missing" / "r.csv")],
+        }[case]
+        assert main(argv) == 3
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEval:

@@ -9,7 +9,8 @@ from tamm.cli import build_configs, main
 from tamm.codec import FramedReader, format_value, parse_value, write_framed
 from tamm.datagen import DatasetSpec
 from tamm.errors import ConfigError, FormatError
-from tamm.train import TrainConfig
+from tamm.evaluate import report_row, write_report_csv
+from tamm.train import TrainConfig, write_metrics_csv
 
 TINY = [
     "--set", "classes=4",
@@ -51,7 +52,24 @@ class TestFraming:
         with pytest.raises(OSError, match="disk full"):
             write_framed(path, b"TEST", 1, parts())
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+        # the metrics and report CSVs go through the same atomic write
+        def rows(row):
+            yield row
+            raise OSError("disk full")
+
+        csvs = {
+            "metrics.csv": (lambda rows, p: write_metrics_csv(rows, p, "run"), {"stage": "stage1", "epoch": 1, "loss": 0.5}),
+            "report.csv": (write_report_csv, report_row("linear_probe", "both", "heldout", 0.5)),
+        }
+        for name, (write, row) in csvs.items():
+            write([row, row], tmp_path / name)
+            before = (tmp_path / name).read_bytes()
+            assert before.endswith(b"0.5\r\n")
+            with pytest.raises(OSError, match="disk full"):
+                write(rows(row), tmp_path / name)
+            assert (tmp_path / name).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "metrics.csv", "report.csv"]
 
 
 class TestValues:

@@ -47,7 +47,8 @@ class TestZeroshot:
         f_sp = np.array([[0.2, 0.8, 0.0, 0.0]])
         assert zeroshot_classify(f_vp, f_sp, bank, "iaa")[0][0] == 0
         assert zeroshot_classify(f_vp, f_sp, bank, "taa")[0][0] == 1
-        assert zeroshot_classify(f_vp, f_sp, bank, "iaa_only")[0][0] == 0
+        with pytest.raises(ConfigError, match="inference mode"):
+            zeroshot_classify(f_vp, f_sp, bank, "iaa_only")
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
