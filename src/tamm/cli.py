@@ -225,7 +225,7 @@ def cmd_eval(args) -> int:
         if args.query_modality == "text":
             query = data.text_feats[qi]
         else:
-            n_views = train.views_count(data, args.views or 1)
+            n_views = train.views_count(data, 1 if args.views is None else args.views)
             adapted = train.adapt_views(data.image_feats[qi : qi + 1, :n_views], cia, CiaConfig(ck.config.alpha))
             query = nk.l2_normalize(adapted[0].mean(axis=0)).value
         ranked = evaluate.retrieve(query, f_vp, f_sp, args.query_modality, args.topk_retrieve)

@@ -23,7 +23,11 @@ def atomic_open(path, mode: str, **kwargs):
     completes; if the block raises, ``path`` is untouched and the temp removed."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        fh = open(tmp, mode, **kwargs)
+    except OSError as exc:  # name the path the caller gave, not the temp file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -25,6 +25,7 @@ SHIFT_BIAS_SCALE = 3.0  # bias-dominant shift: crushes matching at s=1 yet stays
 VIEW_SCALE = 0.25  # size of the per-view perturbation of image features
 
 MIN_CLOUD_POINTS = 8
+OVERFLOW_SAFE = 1e300  # a hidden layer bounded below this cannot overflow
 
 
 @dataclass(frozen=True)
@@ -199,17 +200,26 @@ def _canonical_order(cloud: np.ndarray) -> np.ndarray:
     return np.lexsort((cloud[:, 2], cloud[:, 1], cloud[:, 0]))
 
 
-def _tree_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    # adjacent-pair balanced reduction: duplicating every slice doubles every
-    # partial sum exactly, so pooled means survive duplication bitwise
-    x = np.moveaxis(x, axis, 0)
-    while x.shape[0] > 1:
-        k = x.shape[0] // 2
-        paired = x[0 : 2 * k : 2] + x[1 : 2 * k : 2]
-        if x.shape[0] % 2:
-            paired = np.concatenate([paired, x[-1:]], axis=0)
+def _tree_sum(x: np.ndarray) -> np.ndarray:
+    # adjacent-pair balanced reduction over the point axis of (B, N, h):
+    # duplicating every point doubles every partial sum exactly, so pooled
+    # means survive duplication bitwise
+    while x.shape[1] > 1:
+        k = x.shape[1] // 2
+        paired = x[:, 0 : 2 * k : 2] + x[:, 1 : 2 * k : 2]
+        if x.shape[1] % 2:
+            paired = np.concatenate([paired, x[:, -1:]], axis=1)
         x = paired
-    return x[0]
+    return x[:, 0]
+
+
+def _relu_grad(act: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # np.where(act > 0, g, 0.0) into ``out`` (not aliasing ``g``), bit for bit,
+    # as an and with all-ones or all-zero words: no branch on the mask
+    bits = out.view(np.int64)
+    np.negative((act > 0.0).view(np.int8), out=bits, dtype=np.int64)
+    np.bitwise_and(bits, g.view(np.int64), out=bits)
+    return out
 
 
 def encode_points(clouds, params: PointEncoderParams) -> GradPair:
@@ -218,6 +228,9 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     Per-point MLP 3 -> h -> h with relu, pooled by concatenated mean and max
     over points, projected 2h -> d, then row-normalized. Exactly permutation
     invariant. backward(g) -> (d_w1, d_w2, d_head).
+
+    Clouds, weights and the head output are checked finite; the hidden
+    layers only when the checked maxima do not bound them far from overflow.
     """
     arr = nk.as_f64(clouds, "point cloud")
     squeezed = arr.ndim == 2
@@ -228,23 +241,33 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     n_b, n_pts, _ = arr.shape
     if n_pts < MIN_CLOUD_POINTS:
         raise ShapeError(f"point clouds need at least {MIN_CLOUD_POINTS} points, got {n_pts}")
+    w1 = nk.as_f64(params.w1, "point encoder w1")
+    w2 = nk.as_f64(params.w2, "point encoder w2")
+    head = nk.as_f64(params.head, "point encoder head")
     ordered = np.empty_like(arr)
     for i in range(n_b):
         ordered[i] = arr[i][_canonical_order(arr[i])]
 
     h = params.hidden
+    # relu can hide a hidden -inf from the output check (a non-finite pooled
+    # sum cannot), so scan the hidden layers unless these bounds are far from
+    # overflow; a nan bound (inf * 0) scans too
+    lin1_bound = 3.0 * float(np.abs(arr).max(initial=0.0)) * float(np.abs(w1).max(initial=0.0))
+    lin2_bound = h * lin1_bound * float(np.abs(w2).max(initial=0.0))
+    scan = not (lin1_bound < OVERFLOW_SAFE and lin2_bound < OVERFLOW_SAFE)
     flat = ordered.reshape(n_b * n_pts, 3)
-    lin1 = nk.matmul(flat, params.w1)
-    act1 = nk.relu(lin1.value)
-    lin2 = nk.matmul(act1.value, params.w2)
-    act2 = nk.relu(lin2.value)
-    feats = act2.value.reshape(n_b, n_pts, h)
-    mean_pool = _tree_sum(feats, axis=1) / n_pts
-    amax = feats.argmax(axis=1)
+    act1 = flat @ w1
+    if scan:
+        nk.as_f64(act1, "point encoder layer 1")
+    np.maximum(act1, 0.0, out=act1)
+    act2 = act1 @ w2
+    if scan:
+        nk.as_f64(act2, "point encoder layer 2")
+    np.maximum(act2, 0.0, out=act2)
+    feats = act2.reshape(n_b, n_pts, h)
     max_pool = feats.max(axis=1)
-    pooled = np.concatenate([mean_pool, max_pool], axis=1)
-    proj = nk.matmul(pooled, params.head)
-    out = nk.l2_normalize(proj.value)
+    pooled = np.concatenate([_tree_sum(feats) / n_pts, max_pool], axis=1)
+    out = nk.l2_normalize(pooled @ head)
     value = out.value[0] if squeezed else out.value
 
     def backward(g):
@@ -252,14 +275,20 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
         if squeezed:
             gm = gm[None, :]
         (gp,) = out.backward(gm)
-        g_pool, g_head = proj.backward(gp)
-        g_feats = np.zeros_like(feats)
-        np.put_along_axis(g_feats, amax[:, None, :], g_pool[:, None, h:], axis=1)
-        g_feats += g_pool[:, None, :h] / n_pts
-        (g_lin2,) = act2.backward(g_feats.reshape(n_b * n_pts, h))
-        g_act1, g_w2 = lin2.backward(g_lin2)
-        (g_lin1,) = act1.backward(g_act1)
-        _, g_w1 = lin1.backward(g_lin1)
+        g_pool = gp @ head.T
+        g_head = pooled.T @ gp
+        # d feats = g_mean / n_pts everywhere + g_max at the first argmax;
+        # + 0.0 turns -0.0 into +0.0, as summing into a zeroed buffer does
+        g_mean = g_pool[:, :h] / n_pts
+        g_lin2 = _relu_grad(feats, (g_mean + 0.0)[:, None, :], np.empty_like(feats))
+        # relu outputs hold no nan or -0.0, so this is argmax's first pick
+        amax = (feats == max_pool[:, None, :]).argmax(axis=1)
+        peak = np.where(max_pool > 0.0, g_pool[:, h:] + g_mean, 0.0)
+        g_lin2[np.arange(n_b)[:, None], amax, np.arange(h)] = peak
+        g_lin2 = g_lin2.reshape(n_b * n_pts, h)
+        g_act1 = g_lin2 @ w2.T
+        g_w2 = act1.T @ g_lin2
+        g_w1 = flat.T @ _relu_grad(act1, g_act1, g_lin2)  # g_lin2 is spent: reuse it
         return g_w1, g_w2, g_head
 
     return GradPair(value, backward)

@@ -272,7 +272,7 @@ class TestMalformedInput:
         assert str(d) in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["data-is-a-directory", "out-parent-missing", "report-parent-missing"])
-    def test_unusable_path_exit_3(self, workdir, tmp_path, case):
+    def test_unusable_path_exit_3(self, workdir, tmp_path, case, capsys):
         evaluate = ["eval", "--task", "zeroshot", "-k", "1", "--ckpt", str(workdir / "s2.ckpt")]
         argv = {
             "data-is-a-directory": [*evaluate, "--data", str(tmp_path)],
@@ -282,6 +282,10 @@ class TestMalformedInput:
         }[case]
         assert main(argv) == 3
         assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        written = {"out-parent-missing": "x.bin", "report-parent-missing": "r.csv"}.get(case)
+        if written:
+            assert f"{tmp_path / 'missing' / written}'" in err and ".tmp" not in err
 
 
 class TestEval:
@@ -310,6 +314,11 @@ class TestEval:
         assert main(["eval", "--task", "retrieve", "--query-modality", "text", "--query-index", "3", *base]) == 0
         assert main(["eval", "--task", "retrieve", "--query-modality", "image", "--query-index", "3", "--views", "2", *base]) == 0
         assert "top-5" in capsys.readouterr().out
+
+    def test_retrieve_zero_views_exit_4(self, workdir, capsys):
+        base = ["--ckpt", str(workdir / "s2.ckpt"), "--data", str(workdir / "data.bin"), "--split", "all"]
+        assert main(["eval", "--task", "retrieve", "--query-modality", "image", "--query-index", "3", "--views", "0", *base]) == 4
+        assert "requested 0 views" in capsys.readouterr().err
 
     def test_dim_mismatch_exit_4(self, workdir, tmp_path, capsys):
         other = tmp_path / "other.bin"

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from tamm import numkit as nk
+from tamm.datagen import DatasetSpec, generate
 from tamm.encoders import (
+    MIN_CLOUD_POINTS,
     FrozenEncoderSpec,
     PointEncoderParams,
     encode_points,
@@ -12,7 +14,7 @@ from tamm.encoders import (
     shift_apply,
     shift_invert,
 )
-from tamm.errors import ConfigError, ShapeError
+from tamm.errors import ConfigError, NumericError, ShapeError
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +148,136 @@ class TestPointEncoder:
         b = init_point_encoder(8, 4, 7)
         np.testing.assert_array_equal(a.w1, b.w1)
         np.testing.assert_array_equal(a.head, b.head)
+
+
+def _reference_encode(clouds, params):
+    """The layer-by-layer encoder that ``encode_points`` fuses: numkit products
+    and relus, a per-cloud lexsort, the tree sum over the moved point axis, and
+    the max-pool gradient through ``put_along_axis``."""
+    arr = nk.as_f64(clouds, "point cloud")
+    squeezed = arr.ndim == 2
+    if squeezed:
+        arr = arr[None]
+    n_b, n_pts, _ = arr.shape
+    ordered = np.empty_like(arr)
+    for i in range(n_b):
+        ordered[i] = arr[i][np.lexsort((arr[i][:, 2], arr[i][:, 1], arr[i][:, 0]))]
+    h = params.hidden
+    flat = ordered.reshape(n_b * n_pts, 3)
+    lin1 = nk.matmul(flat, params.w1)
+    act1 = nk.relu(lin1.value)
+    lin2 = nk.matmul(act1.value, params.w2)
+    act2 = nk.relu(lin2.value)
+    feats = act2.value.reshape(n_b, n_pts, h)
+    x = np.moveaxis(feats, 1, 0)
+    while x.shape[0] > 1:
+        k = x.shape[0] // 2
+        paired = x[0 : 2 * k : 2] + x[1 : 2 * k : 2]
+        if x.shape[0] % 2:
+            paired = np.concatenate([paired, x[-1:]], axis=0)
+        x = paired
+    amax = feats.argmax(axis=1)
+    pooled = np.concatenate([x[0] / n_pts, feats.max(axis=1)], axis=1)
+    proj = nk.matmul(pooled, params.head)
+    out = nk.l2_normalize(proj.value)
+
+    def backward(g):
+        gm = np.asarray(g, dtype=np.float64)
+        if squeezed:
+            gm = gm[None, :]
+        (gp,) = out.backward(gm)
+        g_pool, g_head = proj.backward(gp)
+        g_feats = np.zeros_like(feats)
+        np.put_along_axis(g_feats, amax[:, None, :], g_pool[:, None, h:], axis=1)
+        g_feats += g_pool[:, None, :h] / n_pts
+        (g_lin2,) = act2.backward(g_feats.reshape(n_b * n_pts, h))
+        g_act1, g_w2 = lin2.backward(g_lin2)
+        (g_lin1,) = act1.backward(g_act1)
+        _, g_w1 = lin1.backward(g_lin1)
+        return g_w1, g_w2, g_head
+
+    return nk.GradPair(out.value[0] if squeezed else out.value, backward)
+
+
+def _datagen_batch():
+    spec = DatasetSpec(seed=0, classes=4, samples_per_class=32, heldout_classes=1, views=1, shift_enabled=False)
+    return generate(spec).points[:128]
+
+
+def _normal(*shape):
+    return lambda: np.random.default_rng(20).normal(size=shape)
+
+
+def _duplicate_points():
+    clouds = np.tile(np.random.default_rng(20).normal(size=(2, 12, 3)), (1, 2, 1))
+    clouds[1, 5] = clouds[1, 0]
+    return clouds
+
+
+FUSED_CASES = {
+    "squeezed": (_normal(40, 3), 16, 8),
+    "batch-of-one": (_normal(1, 33, 3), 16, 8),
+    "odd-points": (_normal(4, 37, 3), 12, 5),
+    "minimum-points": (_normal(3, MIN_CLOUD_POINTS, 3), 7, 4),
+    "one-hidden-unit": (_normal(5, 20, 3), 1, 4),
+    "duplicate-points": (_duplicate_points, 9, 4),
+    "all-equal-points": (lambda: np.tile([0.5, -0.25, 1.0], (3, 12, 1)), 8, 4),
+    "datagen-128x256": (_datagen_batch, 128, 64),
+}
+
+
+class TestFusedEncoderMatchesReference:
+    @pytest.mark.parametrize("case", list(FUSED_CASES))
+    def test_value_and_gradients_bit_identical(self, case):
+        make, hidden, out_dim = FUSED_CASES[case]
+        clouds = make()
+        params = init_point_encoder(hidden, out_dim, 1)
+        ref, got = _reference_encode(clouds, params), encode_points(clouds, params)
+        g = np.random.default_rng(21).normal(size=np.shape(ref.value))
+        for want, have in zip([ref.value, *ref.backward(g)], [got.value, *got.backward(g)]):
+            np.testing.assert_array_equal(have, want)
+            np.testing.assert_array_equal(np.signbit(have), np.signbit(want))
+
+
+def _overflow_case(case):
+    h = 4
+    cloud = np.abs(np.random.default_rng(22).normal(size=(64, 3))) + 0.5
+    w1, w2, head = np.full((3, h), 0.5), np.full((h, h), 0.5), np.full((2 * h, 3), 0.25)
+    if case == "nan-point":
+        cloud[3, 1] = np.nan
+    elif case == "inf-point":
+        cloud[7, 2] = -np.inf
+    elif case == "nan-w1":
+        w1[1, 2] = np.nan
+    elif case == "inf-w2":
+        w2[0, 3] = np.inf
+    elif case == "nan-head":
+        head[5, 1] = np.nan
+    elif case == "hidden-to-plus-inf":
+        cloud *= 1e160
+        w1[:, 0] = 1e160
+    elif case == "hidden-to-minus-inf":
+        # relu zeroes the -inf column, so only a scan of the hidden layer sees it
+        cloud *= 1e160
+        w1[:, 0] = -1e160
+    elif case == "pooled-sum-to-inf":
+        # every point's feature is finite; their sum over 64 points is not
+        w2[:, 0] = 1e306
+    return cloud, PointEncoderParams(w1, w2, head)
+
+
+class TestNonFiniteContract:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "case",
+        ["nan-point", "inf-point", "nan-w1", "inf-w2", "nan-head",
+         "hidden-to-plus-inf", "hidden-to-minus-inf", "pooled-sum-to-inf"],
+    )
+    def test_raises_numeric_error(self, case):
+        cloud, params = _overflow_case(case)
+        with pytest.raises(NumericError):
+            encode_points(cloud, params)
+
+    def test_finite_case_encodes(self):
+        cloud, params = _overflow_case("none")
+        assert np.all(np.isfinite(encode_points(cloud, params).value))
