@@ -25,6 +25,7 @@ SHIFT_BIAS_SCALE = 3.0  # bias-dominant shift: crushes matching at s=1 yet stays
 VIEW_SCALE = 0.25  # size of the per-view perturbation of image features
 
 MIN_CLOUD_POINTS = 8
+GROUP = 8  # clouds per cache block of the point-encoder step; fixed, not a knob
 OVERFLOW_SAFE = 1e300  # a hidden layer bounded below this cannot overflow
 
 
@@ -229,6 +230,12 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     over points, projected 2h -> d, then row-normalized. Exactly permutation
     invariant. backward(g) -> (d_w1, d_w2, d_head).
 
+    The step runs over groups of ``GROUP`` clouds, so each group's hidden
+    layers stay in cache from their products through relu and pooling; no
+    array of size B*N*h outlives the forward, and backward recomputes each
+    group's layers bit for bit. Every product is row-blocked only, so the
+    result does not depend on the grouping.
+
     Clouds, weights and the head output are checked finite; the hidden
     layers only when the checked maxima do not bound them far from overflow.
     """
@@ -245,8 +252,6 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     w2 = nk.as_f64(params.w2, "point encoder w2")
     head = nk.as_f64(params.head, "point encoder head")
     ordered = np.empty_like(arr)
-    for i in range(n_b):
-        ordered[i] = arr[i][_canonical_order(arr[i])]
 
     h = params.hidden
     # relu can hide a hidden -inf from the output check (a non-finite pooled
@@ -256,17 +261,31 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     lin2_bound = h * lin1_bound * float(np.abs(w2).max(initial=0.0))
     scan = not (lin1_bound < OVERFLOW_SAFE and lin2_bound < OVERFLOW_SAFE)
     flat = ordered.reshape(n_b * n_pts, 3)
-    act1 = flat @ w1
-    if scan:
-        nk.as_f64(act1, "point encoder layer 1")
-    np.maximum(act1, 0.0, out=act1)
-    act2 = act1 @ w2
-    if scan:
-        nk.as_f64(act2, "point encoder layer 2")
-    np.maximum(act2, 0.0, out=act2)
-    feats = act2.reshape(n_b, n_pts, h)
-    max_pool = feats.max(axis=1)
-    pooled = np.concatenate([_tree_sum(feats) / n_pts, max_pool], axis=1)
+    groups = [(lo, min(lo + GROUP, n_b)) for lo in range(0, n_b, GROUP)]
+    scratch1 = np.empty((min(GROUP, n_b) * n_pts, h))
+    scratch2 = np.empty_like(scratch1)
+
+    def layers(lo, hi, act1, check):
+        # relu'd hidden layers of clouds lo:hi, layer 1 into act1 and layer 2
+        # into scratch2, returned as (clouds, points, h)
+        x = flat[lo * n_pts : hi * n_pts]
+        np.matmul(x, w1, out=act1)
+        if check:
+            nk.as_f64(act1, "point encoder layer 1")
+        np.maximum(act1, 0.0, out=act1)
+        act2 = np.matmul(act1, w2, out=scratch2[: len(x)])
+        if check:
+            nk.as_f64(act2, "point encoder layer 2")
+        np.maximum(act2, 0.0, out=act2)
+        return act2.reshape(hi - lo, n_pts, h)
+
+    pooled = np.empty((n_b, 2 * h))
+    for lo, hi in groups:
+        for i in range(lo, hi):
+            ordered[i] = arr[i][_canonical_order(arr[i])]
+        feats = layers(lo, hi, scratch1[: (hi - lo) * n_pts], scan)
+        np.divide(_tree_sum(feats), n_pts, out=pooled[lo:hi, :h])
+        feats.max(axis=1, out=pooled[lo:hi, h:])
     out = nk.l2_normalize(pooled @ head)
     value = out.value[0] if squeezed else out.value
 
@@ -280,15 +299,23 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
         # d feats = g_mean / n_pts everywhere + g_max at the first argmax;
         # + 0.0 turns -0.0 into +0.0, as summing into a zeroed buffer does
         g_mean = g_pool[:, :h] / n_pts
-        g_lin2 = _relu_grad(feats, (g_mean + 0.0)[:, None, :], np.empty_like(feats))
-        # relu outputs hold no nan or -0.0, so this is argmax's first pick
-        amax = (feats == max_pool[:, None, :]).argmax(axis=1)
-        peak = np.where(max_pool > 0.0, g_pool[:, h:] + g_mean, 0.0)
-        g_lin2[np.arange(n_b)[:, None], amax, np.arange(h)] = peak
-        g_lin2 = g_lin2.reshape(n_b * n_pts, h)
-        g_act1 = g_lin2 @ w2.T
-        g_w2 = act1.T @ g_lin2
-        g_w1 = flat.T @ _relu_grad(act1, g_act1, g_lin2)  # g_lin2 is spent: reuse it
-        return g_w1, g_w2, g_head
+        share = (g_mean + 0.0)[:, None, :]
+        peak = np.where(pooled[:, h:] > 0.0, g_pool[:, h:] + g_mean, 0.0)
+        act1 = np.empty((n_b * n_pts, h))
+        g_lin2 = np.empty_like(act1)
+        g_lin1 = np.empty_like(act1)
+        for lo, hi in groups:
+            rows = slice(lo * n_pts, hi * n_pts)
+            # the recomputed layers equal the forward's bit for bit: no scan
+            feats = layers(lo, hi, act1[rows], False)
+            g_feats = _relu_grad(feats, share[lo:hi], g_lin2[rows].reshape(feats.shape))
+            # relu outputs hold no nan or -0.0, so this is argmax's first pick
+            amax = (feats == pooled[lo:hi, None, h:]).argmax(axis=1)
+            g_feats[np.arange(hi - lo)[:, None], amax, np.arange(h)] = peak[lo:hi]
+            g_act1 = np.matmul(g_lin2[rows], w2.T, out=scratch1[: (hi - lo) * n_pts])
+            _relu_grad(act1[rows], g_act1, g_lin1[rows])
+        # the weight gradients sum over all B*N rows in one product each:
+        # splitting their inner axis would change the order of summation
+        return flat.T @ g_lin1, act1.T @ g_lin2, g_head
 
     return GradPair(value, backward)

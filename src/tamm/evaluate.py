@@ -28,7 +28,6 @@ from .train import OptimState, adamw_step
 QUERY_PER_CLASS = 20  # fixed by the episodic protocol, not configurable
 PROBE_EPOCHS = 100
 PROBE_LR = 1e-2
-FEATURE_BATCH = 256  # clouds per encoder forward in dual_features
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,16 +64,8 @@ def dual_features(
     indices: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen forward pass: point features through both dual heads."""
-    vp, sp = [], []
-    for start in range(0, indices.size, FEATURE_BATCH):
-        take = indices[start : start + FEATURE_BATCH]
-        f_p = encode_points(data.points[take], encoder).value
-        vp.append(dual_forward(f_p, iaa).value)
-        sp.append(dual_forward(f_p, taa).value)
-    d = encoder.out_dim
-    if not vp:
-        return np.zeros((0, d)), np.zeros((0, d))
-    return np.concatenate(vp), np.concatenate(sp)
+    f_p = encode_points(data.points[indices], encoder).value
+    return dual_forward(f_p, iaa).value, dual_forward(f_p, taa).value
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import functools
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,18 @@ class TestDatagen:
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         assert main(["datagen", "--out", str(a), "--seed", "7", *SMALL]) == 0
+        assert main(["datagen", "--out", str(b), "--seed", "7", *SMALL]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_module_entry_point_runs(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tamm.cli", "datagen", "--out", str(a), "--seed", "7", *SMALL],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
         assert main(["datagen", "--out", str(b), "--seed", "7", *SMALL]) == 0
         assert a.read_bytes() == b.read_bytes()
 

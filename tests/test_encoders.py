@@ -4,6 +4,7 @@ import pytest
 from tamm import numkit as nk
 from tamm.datagen import DatasetSpec, generate
 from tamm.encoders import (
+    GROUP,
     MIN_CLOUD_POINTS,
     FrozenEncoderSpec,
     PointEncoderParams,
@@ -223,6 +224,8 @@ FUSED_CASES = {
     "duplicate-points": (_duplicate_points, 9, 4),
     "all-equal-points": (lambda: np.tile([0.5, -0.25, 1.0], (3, 12, 1)), 8, 4),
     "datagen-128x256": (_datagen_batch, 128, 64),
+    "last-group-of-one": (_normal(GROUP + 1, 24, 3), 10, 6),
+    "partial-last-group-odd-points": (_normal(2 * GROUP - 3, 29, 3), 11, 5),
 }
 
 
@@ -260,6 +263,12 @@ def _overflow_case(case):
         # relu zeroes the -inf column, so only a scan of the hidden layer sees it
         cloud *= 1e160
         w1[:, 0] = -1e160
+    elif case == "hidden-to-minus-inf-in-last-group":
+        # cloud GROUP alone overflows, so only the scan of the last group,
+        # which holds just that cloud, sees its -inf
+        cloud = np.stack([cloud] * (GROUP + 1))
+        cloud[GROUP] *= 1e160
+        w1[:, 0] = -1e160
     elif case == "pooled-sum-to-inf":
         # every point's feature is finite; their sum over 64 points is not
         w2[:, 0] = 1e306
@@ -271,7 +280,8 @@ class TestNonFiniteContract:
     @pytest.mark.parametrize(
         "case",
         ["nan-point", "inf-point", "nan-w1", "inf-w2", "nan-head",
-         "hidden-to-plus-inf", "hidden-to-minus-inf", "pooled-sum-to-inf"],
+         "hidden-to-plus-inf", "hidden-to-minus-inf", "hidden-to-minus-inf-in-last-group",
+         "pooled-sum-to-inf"],
     )
     def test_raises_numeric_error(self, case):
         cloud, params = _overflow_case(case)

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from tamm import numkit as nk
+from tamm.adapters import init_adapter
 from tamm.datagen import DatasetSpec, generate
+from tamm.encoders import init_point_encoder
 from tamm.errors import ConfigError
 from tamm.evaluate import (
     QUERY_PER_CLASS,
     CategoryBank,
     build_category_bank,
+    dual_features,
     fewshot_episode,
     fewshot_eval,
     format_report,
@@ -232,6 +235,20 @@ class TestRetrieve:
         vp, sp = self.gallery()
         with pytest.raises(ConfigError):
             retrieve(sp[0], vp, sp, "audio", k=3)
+
+
+class TestDualFeatures:
+    def test_empty_indices_give_empty_features(self):
+        spec = DatasetSpec(seed=0, classes=4, samples_per_class=8, heldout_classes=1, views=1,
+                           points_per_cloud=16, shift_enabled=False)
+        data = generate(spec)
+        d = spec.feature_dim
+        encoder = init_point_encoder(8, d, 0)
+        iaa, taa = init_adapter(d, d // 2, 1, "dual"), init_adapter(d, d // 2, 2, "dual")
+        f_vp, f_sp = dual_features(data, encoder, iaa, taa, np.arange(0))
+        assert f_vp.shape == f_sp.shape == (0, d)
+        f_vp, f_sp = dual_features(data, encoder, iaa, taa, np.arange(3))
+        assert f_vp.shape == f_sp.shape == (3, d)
 
 
 class TestReports:
