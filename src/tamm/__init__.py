@@ -17,7 +17,7 @@ from .encoders import (
     frozen_text_embed,
     init_point_encoder,
 )
-from .losses import LossConfig, contrastive_accuracy, contrastive_loss, realign_loss, trimodal_loss
+from .losses import LossConfig, contrastive_accuracy, contrastive_loss, trimodal_loss
 from .numkit import GradPair, finite_diff_check, gelu, l2_normalize, matmul, relu
 from .train import (
     OptimState,
@@ -60,7 +60,6 @@ __all__ = [
     "load_checkpoint",
     "matmul",
     "read_triplets",
-    "realign_loss",
     "relu",
     "save_checkpoint",
     "train_onestage",

@@ -83,7 +83,12 @@ def _two_layer(x_in, params: AdapterParams, alpha: float, act: str) -> GradPair:
     h = nk.matmul(x, params.w1)
     a = _ACT[act](h.value)
     y = nk.matmul(a.value, params.w2)
-    out = nk.l2_normalize(alpha * y.value + (1.0 - alpha) * x)
+    # blend in the product's own buffer: the same ops in the same order, no
+    # fresh temporaries to fault in (matmul's backward reads only its inputs)
+    blend = y.value
+    blend *= alpha
+    blend += (1.0 - alpha) * x
+    out = nk.l2_normalize(blend)
     value = out.value[0] if squeezed else out.value
 
     def backward(g):

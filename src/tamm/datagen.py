@@ -22,7 +22,7 @@ import numpy as np
 from . import numkit as nk
 from .codec import FramedReader, write_framed
 from .encoders import FrozenEncoderSpec, frozen_image_embed, frozen_text_embed, shift_apply
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, ShapeError
 from .losses import contrastive_accuracy
 
 MAGIC = b"TAMM"
@@ -144,20 +144,22 @@ def batched_contrastive_accuracy(image_feats, text_feats) -> float:
 
     ``image_feats`` is (n, d) or (n, m, d); every view contributes its own
     batches of ``ACCURACY_BATCH``. A trailing partial batch is dropped; fewer
-    than ``ACCURACY_BATCH`` samples form one batch.
+    than ``ACCURACY_BATCH`` samples form one batch. All batches are scored in
+    one stacked call, view-major as the batch means are averaged.
     """
     imgs = np.asarray(image_feats, dtype=np.float64)
     txts = np.asarray(text_feats, dtype=np.float64)
     if imgs.ndim == 2:
         imgs = imgs[:, None, :]
-    n = imgs.shape[0]
+    n, m, d = imgs.shape
+    if txts.ndim != 2 or txts.shape[0] != n:
+        raise ShapeError(f"text features {txts.shape} do not pair with image features {imgs.shape}")
     size = min(ACCURACY_BATCH, n)
-    accs = []
-    for k in range(imgs.shape[1]):
-        for start in range(0, n - size + 1, size):
-            rows = slice(start, start + size)
-            accs.append(contrastive_accuracy(imgs[rows, k], txts[rows]))
-    return float(np.mean(accs))
+    k = n // size
+    used = k * size
+    img_stack = imgs[:used].reshape(k, size, m, d).transpose(2, 0, 1, 3).reshape(m * k, size, d)
+    txt_stack = np.tile(txts[:used], (m, 1)).reshape(m * k, size, -1)
+    return contrastive_accuracy(img_stack, txt_stack)
 
 
 def _tune_shift(enc: FrozenEncoderSpec, unshifted: np.ndarray, texts: np.ndarray) -> float:

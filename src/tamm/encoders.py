@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numkit as nk
 from .errors import ConfigError, NumericError, ShapeError
-from .numkit import GradPair
+from .numkit import OVERFLOW_SAFE, GradPair
 
 N_SHIFT_PLANES = 6
 SHIFT_THETA_MAX = math.pi / 2.0
@@ -26,7 +26,6 @@ VIEW_SCALE = 0.25  # size of the per-view perturbation of image features
 
 MIN_CLOUD_POINTS = 8
 GROUP = 8  # clouds per cache block of the point-encoder step; fixed, not a knob
-OVERFLOW_SAFE = 1e300  # a hidden layer bounded below this cannot overflow
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from . import numkit as nk
 from .adapters import AdapterParams, CiaConfig, cia_forward, dual_forward, init_adapter
 from .encoders import PointEncoderParams, encode_points, init_point_encoder
 from .evaluate import probe_layer_loss
-from .losses import LossConfig, contrastive_loss, realign_loss, trimodal_loss
+from .losses import LossConfig, contrastive_loss, trimodal_loss
 
 TOLERANCE = 1e-6
 
@@ -108,19 +108,11 @@ def _case_dual():
 
 
 def _case_contrastive():
-    rng = np.random.default_rng(19)
-    fa = _unit_rows(rng, 5, 6)
-    fb = _unit_rows(rng, 5, 6)
-    cfg = LossConfig(0.07)
-    return _scalar(lambda p: contrastive_loss(p[0], p[1], cfg)), [fa, fb]
-
-
-def _case_realign():
     rng = np.random.default_rng(20)
     fa = _unit_rows(rng, 5, 6)
     fb = _unit_rows(rng, 5, 6)
     cfg = LossConfig(0.1)
-    return _scalar(lambda p: realign_loss(p[0], fb, cfg)), [fa]
+    return _scalar(lambda p: contrastive_loss(p[0], fb, cfg)), [fa]
 
 
 def _case_trimodal():
@@ -183,7 +175,6 @@ CASES: dict[str, Callable] = {
     "cia_forward": _case_cia,
     "dual_forward": _case_dual,
     "contrastive_loss": _case_contrastive,
-    "realign_loss": _case_realign,
     "trimodal_loss": _case_trimodal,
     "point_encoder": _case_point_encoder,
     "stage2_composite": _case_stage2_composite,

@@ -3,7 +3,7 @@
 The core loss over two aligned feature batches FA, FB (rows paired by index)
 is the mean of the row-wise and column-wise softmax cross-entropies of the
 similarity matrix FA @ FB.T / tau. Both orientations are computed explicitly
-so the value and gradients are bit-identical under argument swap.
+so the value is bit-identical under argument swap.
 """
 
 from __future__ import annotations
@@ -29,20 +29,24 @@ class LossConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
 
 
-def _aligned_pair(fa, fb) -> tuple[np.ndarray, np.ndarray]:
+def _aligned_pair(fa, fb, rank: int = 2) -> tuple[np.ndarray, np.ndarray]:
     a = nk.as_f64(fa, "feature batch")
     b = nk.as_f64(fb, "feature batch")
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"feature batches must be 2-D, got {a.shape} and {b.shape}")
+    if a.ndim != rank or b.ndim != rank:
+        raise ShapeError(f"feature batches must be {rank}-D, got {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise ShapeError(f"feature batches must align row-for-row: {a.shape} vs {b.shape}")
-    if a.shape[0] < 1:
+    if 0 in a.shape[:-1]:
         raise ShapeError("feature batches need at least one row")
     return a, b
 
 
 def contrastive_loss(fa, fb, cfg: LossConfig) -> GradPair:
-    """Symmetric InfoNCE over aligned batches; backward(g) -> (d_fa, d_fb)."""
+    """Symmetric InfoNCE over aligned batches.
+
+    ``fb`` is a frozen target in every use (text features, image views), so
+    only ``fa`` receives a gradient: backward(g) -> (d_fa,).
+    """
     a, b = _aligned_pair(fa, fb)
     n = a.shape[0]
     s_ab = (a @ b.T) / cfg.tau
@@ -59,25 +63,9 @@ def contrastive_loss(fa, fb, cfg: LossConfig) -> GradPair:
         p_ab = np.exp(s_ab - lse_ab[:, None])
         p_ba = np.exp(s_ba - lse_ba[:, None])
         eye = np.eye(n)
-        d_fa = scale * (((p_ab - eye) + (p_ba - eye).T) @ b)
-        d_fb = scale * (((p_ba - eye) + (p_ab - eye).T) @ a)
-        return d_fa, d_fb
+        return (scale * (((p_ab - eye) + (p_ba - eye).T) @ b),)
 
     return GradPair(value, backward)
-
-
-def realign_loss(f_img_adapted, f_text, cfg: LossConfig) -> GradPair:
-    """Contrastive loss between adapted image features and frozen text features.
-
-    Text features receive no gradient; backward(g) -> (d_img_adapted,).
-    """
-    inner = contrastive_loss(f_img_adapted, f_text, cfg)
-
-    def backward(g=1.0):
-        d_img, _ = inner.backward(g)
-        return (d_img,)
-
-    return GradPair(inner.value, backward)
 
 
 class TrimodalLoss(NamedTuple):
@@ -104,10 +92,10 @@ def trimodal_loss(f_sp, f_text, f_vp, views: Sequence, cfg: LossConfig) -> Trimo
     value = text_pair.value + image_term
 
     def backward(g=1.0):
-        d_sp, _ = text_pair.backward(g)
+        (d_sp,) = text_pair.backward(g)
         d_vp = None
         for pair in view_pairs:
-            d, _ = pair.backward(g)
+            (d,) = pair.backward(g)
             d_vp = d if d_vp is None else d_vp + d
         return d_sp, d_vp / m
 
@@ -115,13 +103,20 @@ def trimodal_loss(f_sp, f_text, f_vp, views: Sequence, cfg: LossConfig) -> Trimo
 
 
 def contrastive_accuracy(fa, fb) -> float:
-    """Fraction of FA rows whose matched FB row is strictly the nearest FB row (ties fail)."""
-    a, b = _aligned_pair(fa, fb)
-    n = a.shape[0]
+    """Fraction of FA rows whose matched FB row is strictly the nearest FB row (ties fail).
+
+    ``fa`` and ``fb`` are one aligned (n, d) batch pair, or a (k, n, d) stack
+    of them; a stack scores the mean of its k per-batch fractions.
+    """
+    stacked = np.ndim(fa) == 3
+    a, b = _aligned_pair(fa, fb, 3 if stacked else 2)
+    if not stacked:
+        a, b = a[None], b[None]
+    n = a.shape[1]
     if n < 2:
         raise ConfigError("contrastive_accuracy needs at least two pairs")
-    scores = a @ b.T
-    diag = np.diag(scores).copy()
-    rivals = scores.copy()
-    np.fill_diagonal(rivals, -np.inf)
-    return float(np.mean(diag > rivals.max(axis=1)))
+    scores = np.matmul(a, b.transpose(0, 2, 1))
+    diag = np.diagonal(scores, axis1=1, axis2=2).copy()
+    rows = np.arange(n)
+    scores[:, rows, rows] = -np.inf
+    return float(np.mean((diag > scores.max(axis=2)).mean(axis=1)))

@@ -2,7 +2,8 @@
 
 Every differentiable operation returns a ``GradPair``: the forward value plus
 a closure mapping the upstream gradient to one gradient per input, in input
-order. All math is 64-bit; outputs are checked finite.
+order. All math is 64-bit; inputs are checked finite, and so is every output
+that the checked inputs do not already bound far from overflow.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import DegenerateVectorError, NumericError, ShapeError
 
 NORM_EPS = 1e-12
 FD_STEP = 1e-5  # central-difference step of finite_diff_check
+OVERFLOW_SAFE = 1e300  # a value bounded below this cannot overflow
 
 # tanh-approximation constants for gelu
 GELU_CUBIC = 0.044715
@@ -34,11 +36,17 @@ def _all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
-def as_f64(x, name: str = "input") -> np.ndarray:
+def _checked(x, name: str) -> tuple[np.ndarray, float]:
+    """``x`` as float64 and its largest magnitude; non-finite entries raise."""
     arr = np.asarray(x, dtype=np.float64)
-    if not _all_finite(arr):
+    lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericError(f"{name} contains non-finite entries")
-    return arr
+    return arr, max(-lo, hi)
+
+
+def as_f64(x, name: str = "input") -> np.ndarray:
+    return _checked(x, name)[0]
 
 
 def _finite_out(arr: np.ndarray, op: str) -> np.ndarray:
@@ -55,14 +63,20 @@ def _check_grad_shape(g: np.ndarray, expected: tuple, op: str) -> np.ndarray:
 
 
 def matmul(a, b) -> GradPair:
-    """Dense product A[m,k] @ B[k,n]; backward returns (G @ B.T, A.T @ G)."""
-    am = as_f64(a, "matmul lhs")
-    bm = as_f64(b, "matmul rhs")
+    """Dense product A[m,k] @ B[k,n]; backward returns (G @ B.T, A.T @ G).
+
+    The output is scanned only when its bound k * max|A| * max|B| is not
+    below ``OVERFLOW_SAFE``.
+    """
+    am, a_max = _checked(a, "matmul lhs")
+    bm, b_max = _checked(b, "matmul rhs")
     if am.ndim != 2 or bm.ndim != 2:
         raise ShapeError(f"matmul needs 2-D operands, got {am.shape} and {bm.shape}")
     if am.shape[1] != bm.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {am.shape} x {bm.shape}")
-    out = _finite_out(am @ bm, "matmul")
+    out = am @ bm
+    if not am.shape[1] * a_max * b_max < OVERFLOW_SAFE:
+        _finite_out(out, "matmul")
 
     def backward(g):
         gm = _check_grad_shape(g, out.shape, "matmul")
@@ -85,7 +99,7 @@ def relu(x) -> GradPair:
 
 def gelu(x) -> GradPair:
     """Tanh-approximation gelu: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
-    arr = as_f64(x, "gelu input")
+    arr, x_max = _checked(x, "gelu input")
     # in-place staging: this op dominates the training profile
     sq = arr * arr
     t = sq * arr
@@ -105,6 +119,10 @@ def gelu(x) -> GradPair:
         d_inner *= _SQRT_2_OVER_PI
         d_inner *= arr
         d_inner *= 1.0 - t * t
+        if not x_max * x_max * x_max < OVERFLOW_SAFE:
+            # where the cubic overflowed, tanh saturates and inf * 0 left nan;
+            # zero leaves 0.5 * (1 + t), the exact limits 1 and 0 of the slope
+            d_inner[np.isnan(d_inner)] = 0.0
         d_inner += 1.0 + t
         d_inner *= 0.5
         d_inner *= gm

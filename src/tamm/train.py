@@ -22,7 +22,7 @@ from .codec import FramedReader, atomic_open, format_value, parse_value, write_f
 from .datagen import PRETRAIN, EVAL_HELDOUT, TripletSet, batched_contrastive_accuracy
 from .encoders import PointEncoderParams, encode_points
 from .errors import ConfigError, FormatError, IncompatibilityError, ShapeError
-from .losses import LossConfig, realign_loss, trimodal_loss
+from .losses import LossConfig, contrastive_loss, trimodal_loss
 
 ADAM_EPS = 1e-8
 
@@ -199,19 +199,6 @@ def _fit(
     return params, rows, optim
 
 
-def _stage1_pairs(data: TripletSet) -> tuple[np.ndarray, np.ndarray]:
-    idx = data.indices(PRETRAIN)
-    m = data.spec.views
-    imgs = data.image_feats[idx].reshape(-1, data.spec.feature_dim)
-    txts = np.repeat(data.text_feats[idx], m, axis=0)
-    return imgs, txts
-
-
-def _split_accuracy(data: TripletSet, tag: str, cia: AdapterParams | None, cfg: CiaConfig) -> float:
-    idx = data.indices(tag)
-    return batched_contrastive_accuracy(adapt_views(data.image_feats[idx], cia, cfg), data.text_feats[idx])
-
-
 def train_stage1(
     data: TripletSet,
     cia: AdapterParams,
@@ -225,13 +212,16 @@ def train_stage1(
     adapter, one metrics row per epoch (plus an epoch-0 row for the untrained
     state), and the final optimizer state.
     """
-    imgs, txts = _stage1_pairs(data)
+    # pretrain and held-out features of the per-epoch diagnostic, gathered once
+    splits = [(data.image_feats[idx], data.text_feats[idx]) for idx in map(data.indices, (PRETRAIN, EVAL_HELDOUT))]
+    imgs = splits[0][0].reshape(-1, data.spec.feature_dim)
+    txts = np.repeat(splits[0][1], data.spec.views, axis=0)
     loss_cfg = LossConfig(cfg.tau)
     cia_cfg = CiaConfig(cfg.alpha)
 
     def step(params, take, want_grads):
         adapted = cia_forward(imgs[take], blocks_to_model(params)[0], cia_cfg)
-        loss = realign_loss(adapted.value, txts[take], loss_cfg)
+        loss = contrastive_loss(adapted.value, txts[take], loss_cfg)
         if not want_grads:
             return {"loss": loss.value}, None
         (d_adapted,) = loss.backward(1.0)
@@ -240,11 +230,8 @@ def train_stage1(
 
     def on_epoch(params, means):
         cur = blocks_to_model(params)[0]
-        return {
-            **means,
-            "acc_pretrain": _split_accuracy(data, PRETRAIN, cur, cia_cfg),
-            "acc_heldout": _split_accuracy(data, EVAL_HELDOUT, cur, cia_cfg),
-        }
+        pre, held = (batched_contrastive_accuracy(adapt_views(im, cur, cia_cfg), tx) for im, tx in splits)
+        return {**means, "acc_pretrain": pre, "acc_heldout": held}
 
     params, rows, optim = _fit(
         model_blocks(cia), step, imgs.shape[0], cfg, "stage1", resume, stop_after_epochs, on_epoch
@@ -352,7 +339,7 @@ def train_onestage(
     def step(params, take, want_grads):
         cur_cia = blocks_to_model(params)[0]
         adapted_views = [cia_forward(images[take, k], cur_cia, cia_cfg) for k in range(m)]
-        realign_pairs = [realign_loss(av.value, texts[take], loss_cfg) for av in adapted_views]
+        realign_pairs = [contrastive_loss(av.value, texts[take], loss_cfg) for av in adapted_views]
         views = [av.value for av in adapted_views]
         tl, grads = _trimodal_step(params, clouds[take], texts[take], views, loss_cfg, want_grads)
         terms = {

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from tamm import numkit as nk
 from tamm.datagen import (
+    ACCURACY_BATCH,
     EVAL_HELDOUT,
     EVAL_SEEN,
     PRETRAIN,
@@ -14,6 +16,7 @@ from tamm.datagen import (
     write_triplets,
 )
 from tamm.errors import ConfigError, FormatError
+from tamm.losses import contrastive_accuracy
 
 SMALL = dict(classes=6, samples_per_class=20, heldout_classes=2, views=2, points_per_cloud=32)
 
@@ -106,6 +109,63 @@ class TestGenerate:
             matched = np.diag(sims)
             off = sims[~np.eye(sims.shape[0], dtype=bool)]
             assert np.mean(matched > np.quantile(off, 0.95)) > 0.95
+
+
+def _reference_batched_accuracy(image_feats, text_feats) -> float:
+    """The per-batch loop the stacked accuracy replaced: one 2-D call per batch."""
+    imgs = np.asarray(image_feats, dtype=np.float64)
+    txts = np.asarray(text_feats, dtype=np.float64)
+    if imgs.ndim == 2:
+        imgs = imgs[:, None, :]
+    n = imgs.shape[0]
+    size = min(ACCURACY_BATCH, n)
+    accs = []
+    for k in range(imgs.shape[1]):
+        for start in range(0, n - size + 1, size):
+            rows = slice(start, start + size)
+            accs.append(contrastive_accuracy(imgs[rows, k], txts[rows]))
+    return float(np.mean(accs))
+
+
+def _noisy_pairs(seed, n, m, d, noise):
+    """Text rows and image rows near them: (n, m, d) images, or (n, d) for m=None."""
+    rng = np.random.default_rng(seed)
+    txts = nk.l2_normalize(rng.normal(size=(n, d))).value
+    imgs = txts[:, None, :] + noise * rng.normal(size=(n, m or 1, d))
+    return (imgs if m else imgs[:, 0]), txts
+
+
+class TestBatchedAccuracy:
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (5 * ACCURACY_BATCH, None),  # (n, d) input
+            (3 * ACCURACY_BATCH, 4),  # (n, m, d) input
+            (37, 3),  # fewer than one batch: one batch of n
+            (4 * ACCURACY_BATCH + 29, 2),  # trailing partial batch dropped
+        ],
+    )
+    def test_equals_per_batch_loop_bitwise(self, n, m):
+        for seed, noise in ((0, 0.05), (1, 0.2), (2, 1.0)):
+            imgs, txts = _noisy_pairs(seed, n, m, 16, noise)
+            assert batched_contrastive_accuracy(imgs, txts) == _reference_batched_accuracy(imgs, txts)
+
+    def test_partial_batch_is_dropped(self):
+        imgs, txts = _noisy_pairs(3, 2 * ACCURACY_BATCH, 2, 16, 0.3)
+        padded_imgs = np.concatenate([imgs, -imgs[:10]])
+        padded_txts = np.concatenate([txts, txts[:10]])
+        assert batched_contrastive_accuracy(padded_imgs, padded_txts) == batched_contrastive_accuracy(imgs, txts)
+
+    def test_all_equal_rows_tie_and_fail(self):
+        imgs = np.ones((3 * ACCURACY_BATCH, 2, 4))
+        txts = np.ones((3 * ACCURACY_BATCH, 4))
+        assert batched_contrastive_accuracy(imgs, txts) == 0.0 == _reference_batched_accuracy(imgs, txts)
+
+    def test_features_of_a_generated_set(self, tuned_set):
+        for tag in (PRETRAIN, EVAL_HELDOUT, EVAL_SEEN):
+            idx = tuned_set.indices(tag)
+            imgs, txts = tuned_set.image_feats[idx], tuned_set.text_feats[idx]
+            assert batched_contrastive_accuracy(imgs, txts) == _reference_batched_accuracy(imgs, txts)
 
 
 class TestFileFormat:

@@ -9,7 +9,6 @@ EXPECTED_COVERAGE = {
     "cia_forward",
     "dual_forward",
     "contrastive_loss",
-    "realign_loss",
     "trimodal_loss",
     "point_encoder",
     "stage2_composite",

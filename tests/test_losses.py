@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from tamm import numkit as nk
-from tamm.errors import ConfigError, ShapeError
+from tamm.errors import ConfigError, NumericError, ShapeError
 from tamm.losses import (
     LossConfig,
     contrastive_accuracy,
     contrastive_loss,
-    realign_loss,
     trimodal_loss,
 )
 
@@ -30,6 +29,20 @@ def naive_contrastive(fa, fb, tau):
 
 def unit_rows(rng, n, d):
     return nk.l2_normalize(rng.normal(size=(n, d))).value
+
+
+def two_sided_d_fa(fa, fb, tau, g=1.0):
+    """d_fa as the two-sided backward formed it, next to a d_fb nothing read."""
+    n = fa.shape[0]
+    s_ab = (fa @ fb.T) / tau
+    s_ba = (fb @ fa.T) / tau
+    lse_ab = nk.logsumexp_rows(s_ab)
+    lse_ba = nk.logsumexp_rows(s_ba)
+    scale = float(g) / (2.0 * n * tau)
+    p_ab = np.exp(s_ab - lse_ab[:, None])
+    p_ba = np.exp(s_ba - lse_ba[:, None])
+    eye = np.eye(n)
+    return scale * (((p_ab - eye) + (p_ba - eye).T) @ fb)
 
 
 class TestContrastiveLoss:
@@ -82,11 +95,28 @@ class TestContrastiveLoss:
         fa, fb = unit_rows(rng, 5, 6), unit_rows(rng, 5, 6)
 
         def f(params):
-            out = contrastive_loss(params[0], params[1], LossConfig(0.07))
-            da, db = out.backward(1.0)
-            return float(out.value), [da, db]
+            out = contrastive_loss(params[0], fb, LossConfig(0.07))
+            (da,) = out.backward(1.0)
+            return float(out.value), [da]
 
-        assert nk.finite_diff_check(f, [fa, fb]) < 1e-6
+        assert nk.finite_diff_check(f, [fa]) < 1e-6
+
+    def test_exposes_only_first_gradient(self):
+        rng = np.random.default_rng(6)
+        fa, fb = unit_rows(rng, 4, 5), unit_rows(rng, 4, 5)
+        grads = contrastive_loss(fa, fb, LossConfig()).backward(1.0)
+        assert len(grads) == 1
+        assert grads[0].shape == fa.shape
+
+    def test_backward_equals_two_sided_expression_bitwise(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 70))
+            fa, fb = unit_rows(rng, n, 8), unit_rows(rng, n, 8)
+            tau = float(rng.choice([0.05, 0.07, 0.1, 1.0]))
+            g = float(rng.choice([1.0, 0.25, 1.0 / 3.0]))
+            (got,) = contrastive_loss(fa, fb, LossConfig(tau)).backward(g)
+            assert np.array_equal(got, two_sided_d_fa(fa, fb, tau, g))
 
     def test_tau_validation(self):
         with pytest.raises(ConfigError):
@@ -103,25 +133,14 @@ class TestContrastiveLoss:
 
 
 class TestRealignLoss:
-    def test_equals_contrastive_bit_exact(self):
-        rng = np.random.default_rng(5)
-        fa, fb = unit_rows(rng, 6, 8), unit_rows(rng, 6, 8)
-        cfg = LossConfig(0.07)
-        assert realign_loss(fa, fb, cfg).value == contrastive_loss(fa, fb, cfg).value
-
-    def test_exposes_only_image_gradient(self):
-        rng = np.random.default_rng(6)
-        fa, fb = unit_rows(rng, 4, 5), unit_rows(rng, 4, 5)
-        grads = realign_loss(fa, fb, LossConfig()).backward(1.0)
-        assert len(grads) == 1
-        assert grads[0].shape == fa.shape
+    """The stage-1 objective: contrastive_loss(cia(images), frozen texts)."""
 
     def test_gradient(self):
         rng = np.random.default_rng(7)
         fa, fb = unit_rows(rng, 4, 5), unit_rows(rng, 4, 5)
 
         def f(params):
-            out = realign_loss(params[0], fb, LossConfig(0.1))
+            out = contrastive_loss(params[0], fb, LossConfig(0.1))
             (da,) = out.backward(1.0)
             return float(out.value), [da]
 
@@ -168,6 +187,20 @@ class TestTrimodalLoss:
 
         assert nk.finite_diff_check(f, [sp, vp]) < 1e-6
 
+    def test_gradients_equal_two_sided_expression_bitwise(self):
+        for seed in range(10):
+            rng = np.random.default_rng(100 + seed)
+            n, m = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+            sp, t, vp = (unit_rows(rng, n, 6) for _ in range(3))
+            views = [unit_rows(rng, n, 6) for _ in range(m)]
+            d_sp, d_vp = trimodal_loss(sp, t, vp, views, LossConfig(0.07)).backward(1.0)
+            assert np.array_equal(d_sp, two_sided_d_fa(sp, t, 0.07))
+            want = None
+            for v in views:
+                d = two_sided_d_fa(vp, v, 0.07)
+                want = d if want is None else want + d
+            assert np.array_equal(d_vp, want / m)
+
 
 class TestContrastiveAccuracy:
     def test_identical_batches(self):
@@ -200,6 +233,27 @@ class TestContrastiveAccuracy:
     def test_needs_two_pairs(self):
         with pytest.raises(ConfigError):
             contrastive_accuracy(np.ones((1, 3)), np.ones((1, 3)))
+        with pytest.raises(ConfigError):
+            contrastive_accuracy(np.ones((4, 1, 3)), np.ones((4, 1, 3)))
+
+    def test_stack_is_mean_of_batch_fractions(self):
+        rng = np.random.default_rng(16)
+        fa, fb = unit_rows(rng, 5 * 12, 4).reshape(5, 12, 4), unit_rows(rng, 5 * 12, 4).reshape(5, 12, 4)
+        per_batch = [contrastive_accuracy(fa[i], fb[i]) for i in range(5)]
+        assert contrastive_accuracy(fa, fb) == float(np.mean(per_batch))
+        assert contrastive_accuracy(fa[:1], fb[:1]) == per_batch[0]
+
+    def test_stack_errors(self):
+        with pytest.raises(ShapeError):
+            contrastive_accuracy(np.ones((3, 4, 2)), np.ones((2, 4, 2)))
+        with pytest.raises(ShapeError):
+            contrastive_accuracy(np.ones((3, 4, 2)), np.ones((4, 2)))
+        with pytest.raises(ShapeError):
+            contrastive_accuracy(np.ones((0, 4, 2)), np.ones((0, 4, 2)))
+        bad = np.ones((3, 4, 2))
+        bad[2, 1, 0] = np.nan
+        with pytest.raises(NumericError):
+            contrastive_accuracy(bad, np.ones((3, 4, 2)))
 
     def test_directions(self):
         # image-to-text: each FA row ranks every FB row

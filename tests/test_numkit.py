@@ -54,6 +54,25 @@ class TestMatmul:
     def test_non_finite_input_rejected(self):
         with pytest.raises(NumericError):
             nk.matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
+        with pytest.raises(NumericError, match="rhs"):
+            nk.matmul(np.ones((1, 2)), np.array([[1.0], [np.nan]]))
+
+    # finite operands whose bound k * max|a| * max|b| reaches OVERFLOW_SAFE
+    # get their output scanned
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_product_rejected(self):
+        with pytest.raises(NumericError, match="matmul produced"):
+            nk.matmul([[1e200]], [[1e200]])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_cancelling_overflow_rejected(self):
+        with pytest.raises(NumericError, match="matmul produced"):
+            nk.matmul([[1e200, -1e200]], [[1e200], [1e200]])
+
+    def test_product_at_the_bound_passes(self):
+        out = nk.matmul([[nk.OVERFLOW_SAFE]], [[1.0]])
+        assert out.value[0, 0] == nk.OVERFLOW_SAFE
 
 
 class TestActivations:
@@ -86,6 +105,48 @@ class TestActivations:
             return float(np.sum(w * out.value)), [dx]
 
         assert nk.finite_diff_check(f, [x]) < 1e-6
+
+
+def _parent_gelu_slope(x, g):
+    """gelu's backward as the formula stood before large inputs were handled."""
+    sq = x * x
+    t = np.tanh(math.sqrt(2.0 / math.pi) * (x + nk.GELU_CUBIC * (sq * x)))
+    d_inner = sq * (3.0 * nk.GELU_CUBIC)
+    d_inner += 1.0
+    d_inner *= math.sqrt(2.0 / math.pi)
+    d_inner *= x
+    d_inner *= 1.0 - t * t
+    d_inner += 1.0 + t
+    d_inner *= 0.5
+    d_inner *= g
+    return d_inner
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestGelu:
+    def test_huge_inputs_take_the_exact_limits(self):
+        out = nk.gelu(np.array([1e160, -1e160]))
+        np.testing.assert_array_equal(out.value, [1e160, 0.0])
+        (grad,) = out.backward(np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(grad, [1.0, 0.0])
+        (grad,) = out.backward(np.array([-2.5, 3.0]))
+        np.testing.assert_array_equal(grad, [-2.5, 0.0])
+
+    def test_slope_bitwise_equal_to_the_formula_where_it_was_defined(self):
+        rng = np.random.default_rng(8)
+        mags = np.concatenate([rng.uniform(0.0, 12.0, 200), 10.0 ** rng.uniform(-300, 150, 400), [1e150]])
+        x = mags * rng.choice([-1.0, 1.0], size=mags.size)
+        g = rng.normal(size=x.size)
+        (got,) = nk.gelu(x).backward(g)
+        want = _parent_gelu_slope(x, g)
+        # the formula's inf * 0 = nan begins near |x| = 1.19e103, well before
+        # x * x overflows; there the exact limits g and 0 stand in
+        undefined = np.isnan(want)
+        assert undefined.any() and not undefined[np.abs(x) < 1e103].any()
+        want[undefined] = np.where(x[undefined] > 0, g[undefined], 0.0 * g[undefined])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestL2Normalize:

@@ -169,7 +169,7 @@ class TestStage1:
     def test_first_steps_monotone_on_separable_batch(self, data):
         # fixed batch, fixed lr: the realign objective falls at every step
         from tamm.adapters import CiaConfig, cia_forward
-        from tamm.losses import LossConfig, realign_loss
+        from tamm.losses import LossConfig, contrastive_loss
         from tamm.train import OptimState, adamw_step
 
         idx = data.indices(PRETRAIN)[:16]
@@ -182,7 +182,7 @@ class TestStage1:
         for _ in range(11):
             cur = AdapterParams(params["w1"], params["w2"])
             adapted = cia_forward(imgs, cur, CiaConfig(0.2))
-            loss = realign_loss(adapted.value, txts, LossConfig(0.07))
+            loss = contrastive_loss(adapted.value, txts, LossConfig(0.07))
             losses.append(loss.value)
             (d_ad,) = loss.backward(1.0)
             _, g1, g2 = adapted.backward(d_ad)
@@ -378,10 +378,13 @@ class TestMetricsCsv:
         assert len(lines) == 5
 
 
-# Trains a small stage 1, stage 2 (on the stage-1 cia) and joint run and prints
-# the sha256 of every trained parameter and optimizer moment. The point-MLP
-# batches (32 clouds x 64 points, hidden 64) are large enough for OpenBLAS to
-# split its matmuls across threads.
+# Generates a small tuned dataset, trains a small stage 1, stage 2 (on the
+# stage-1 cia) and joint run, and prints the sha256 of the dataset arrays and
+# tuned shift strength, and of every run's trained parameters, optimizer
+# moments and metric rows. The point-MLP batches (32 clouds x 64 points,
+# hidden 64) are large enough for OpenBLAS to split its matmuls across
+# threads; the shift bisection and the stage-1 rows cover the stacked
+# matching-accuracy product.
 _HASH_RUNS = """
 import hashlib
 from tamm.adapters import init_adapter
@@ -390,16 +393,21 @@ from tamm.encoders import init_point_encoder
 from tamm.train import TrainConfig, model_blocks, train_onestage, train_stage1, train_stage2
 
 data = generate(DatasetSpec(seed=1, classes=5, samples_per_class=26, heldout_classes=2, views=2, points_per_cloud=64))
+h = hashlib.sha256(repr(data.spec.shift_strength).encode())
+for arr in (data.points, data.image_feats, data.text_feats, data.labels):
+    h.update(arr.tobytes())
+print("dataset", h.hexdigest())
 d = data.spec.feature_dim
 cfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=32)
 cia = init_adapter(d, d // 2, 101, "cia")
 models = (init_point_encoder(64, d, 202), init_adapter(d, d // 2, 303, "dual"), init_adapter(d, d // 2, 404, "dual"))
-cia1, _, opt1 = train_stage1(data, cia, cfg)
-*stage2, _, opt2 = train_stage2(data, cia1, *models, cfg)
-*joint, _, opt3 = train_onestage(data, cia, *models, cfg)
-for name, blocks, optim in [("stage1", model_blocks(cia1), opt1), ("stage2", model_blocks(None, *stage2), opt2),
-                            ("joint", model_blocks(*joint), opt3)]:
-    h = hashlib.sha256()
+cia1, rows1, opt1 = train_stage1(data, cia, cfg)
+*stage2, rows2, opt2 = train_stage2(data, cia1, *models, cfg)
+*joint, rows3, opt3 = train_onestage(data, cia, *models, cfg)
+for name, blocks, rows, optim in [("stage1", model_blocks(cia1), rows1, opt1),
+                                  ("stage2", model_blocks(None, *stage2), rows2, opt2),
+                                  ("joint", model_blocks(*joint), rows3, opt3)]:
+    h = hashlib.sha256(repr(rows).encode())
     for key in sorted(blocks):
         h.update(key.encode() + blocks[key].tobytes() + optim.m[key].tobytes() + optim.v[key].tobytes())
     print(name, h.hexdigest())
@@ -414,5 +422,5 @@ def test_trained_hashes_independent_of_blas_threads():
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-c", _HASH_RUNS], env=env, capture_output=True, text=True, check=True)
         digests.append(out.stdout)
-    assert [line.split()[0] for line in digests[0].splitlines()] == ["stage1", "stage2", "joint"]
+    assert [line.split()[0] for line in digests[0].splitlines()] == ["dataset", "stage1", "stage2", "joint"]
     assert digests[0] == digests[1]
