@@ -18,7 +18,7 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -121,7 +121,7 @@ def _metrics_path(args) -> str:
 
 
 def cmd_pretrain(args) -> int:
-    ds_spec, cfg = build_configs(args)
+    _, cfg = build_configs(args)
     data = read_triplets(args.data)
     d = data.spec.feature_dim
     adapter_hidden = max(1, d // 2)
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the report rows to this CSV")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every differentiable op")
+    p = sub.add_parser("gradcheck", help="finite-difference check of every differentiable op and training step")
     p.set_defaults(fn=cmd_gradcheck)
 
     return parser

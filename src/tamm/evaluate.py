@@ -201,9 +201,6 @@ def linear_probe(
 
 @dataclass(frozen=True, eq=False)
 class EpisodeSpec:
-    ways: int
-    shots: int
-    trial_seed: int
     support: np.ndarray  # (ways * shots,)
     query: np.ndarray  # (ways * QUERY_PER_CLASS,)
 
@@ -227,7 +224,7 @@ def fewshot_episode(labels, ways: int, shots: int, trial_seed: int) -> EpisodeSp
         pick = rng.choice(rows, size=need, replace=False)
         support.append(pick[:shots])
         query.append(pick[shots:])
-    return EpisodeSpec(ways, shots, int(trial_seed), np.concatenate(support), np.concatenate(query))
+    return EpisodeSpec(np.concatenate(support), np.concatenate(query))
 
 
 class FewshotResult(NamedTuple):

@@ -1,4 +1,5 @@
-"""Finite-difference verification of every differentiable operation.
+"""Finite-difference verification of every differentiable operation and of
+the stage-1, stage-2 and joint training steps.
 
 Each case builds a fixed seeded instance, reduces array outputs to a scalar
 through a frozen projection, and compares the hand-derived gradients against
@@ -17,6 +18,7 @@ from .adapters import AdapterParams, CiaConfig, cia_forward, dual_forward, init_
 from .encoders import PointEncoderParams, encode_points, init_point_encoder
 from .evaluate import probe_layer_loss
 from .losses import LossConfig, contrastive_loss, trimodal_loss
+from .train import TrainConfig, joint_step, model_blocks, stage1_step, stage2_step
 
 TOLERANCE = 1e-6
 
@@ -133,28 +135,24 @@ def _case_point_encoder():
     return _projected(lambda p: encode_points(cloud, PointEncoderParams(*p)), w), [pe.w1, pe.w2, pe.head]
 
 
-def _case_stage2_composite():
+def _step_case(build, names, term):
+    """Check function for a production training step: ``terms[term]`` over the
+    named blocks, on one tiny seeded batch with two image views."""
     rng = np.random.default_rng(23)
-    pe = init_point_encoder(6, 5, 230)
-    iaa = init_adapter(5, 4, 231, "dual")
-    taa = init_adapter(5, 4, 232, "dual")
     clouds = rng.normal(size=(4, 12, 3))
     texts = _unit_rows(rng, 4, 5)
-    views = [_unit_rows(rng, 4, 5) for _ in range(2)]
-    cfg = LossConfig(0.07)
+    views = np.stack([_unit_rows(rng, 4, 5) for _ in range(2)], axis=1)
+    # generic-scale cia weights, as in the cia_forward case
+    cia = AdapterParams(rng.normal(size=(5, 3)) * 0.7, rng.normal(size=(3, 5)) * 0.7)
+    pe, iaa, taa = init_point_encoder(6, 5, 230), init_adapter(5, 4, 231, "dual"), init_adapter(5, 4, 232, "dual")
+    blocks = model_blocks(cia, pe, iaa, taa)
+    step = build(views, texts, clouds, TrainConfig())
 
-    def f(params):
-        enc = encode_points(clouds, PointEncoderParams(params[0], params[1], params[2]))
-        vp = dual_forward(enc.value, AdapterParams(params[3], params[4]))
-        sp = dual_forward(enc.value, AdapterParams(params[5], params[6]))
-        out = trimodal_loss(sp.value, texts, vp.value, views, cfg)
-        d_sp, d_vp = out.backward(1.0)
-        g_fp_t, g_t1, g_t2 = sp.backward(d_sp)
-        g_fp_v, g_v1, g_v2 = vp.backward(d_vp)
-        g_w1, g_w2, g_head = enc.backward(g_fp_t + g_fp_v)
-        return float(out.value), [g_w1, g_w2, g_head, g_v1, g_v2, g_t1, g_t2]
+    def f(p):
+        terms, grads = step({**blocks, **dict(zip(names, p))}, np.arange(4), True)
+        return float(terms[term]), [grads[k] for k in names]
 
-    return f, [pe.w1, pe.w2, pe.head, iaa.w1, iaa.w2, taa.w1, taa.w2]
+    return f, [blocks[k] for k in names]
 
 
 def _case_probe_layer():
@@ -177,7 +175,13 @@ CASES: dict[str, Callable] = {
     "contrastive_loss": _case_contrastive,
     "trimodal_loss": _case_trimodal,
     "point_encoder": _case_point_encoder,
-    "stage2_composite": _case_stage2_composite,
+    "stage1_step": lambda: _step_case(lambda v, t, _, cfg: stage1_step(v[:, 0], t, cfg), ["cia.w1", "cia.w2"], "loss"),
+    "stage2_step": lambda: _step_case(
+        stage2_step, ["pe.w1", "pe.w2", "pe.head", "iaa.w1", "iaa.w2", "taa.w1", "taa.w2"], "loss"
+    ),
+    # the trimodal term takes the adapted views as fixed targets, so the cia
+    # learns through the realign term alone
+    "joint_step": lambda: _step_case(joint_step, ["cia.w1", "cia.w2"], "loss_realign"),
     "probe_layer": _case_probe_layer,
 }
 

@@ -73,7 +73,6 @@ def adamw_step(
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
     weight_decay: float = 0.0,
-    eps: float = ADAM_EPS,
 ) -> tuple[dict[str, np.ndarray], OptimState]:
     """Decoupled-weight-decay update with bias correction; purely functional."""
     if params.keys() != grads.keys():
@@ -89,7 +88,7 @@ def adamw_step(
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
         m = b1 * state.m[name] + (1.0 - b1) * g
         v = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         new_p[name] = (1.0 - lr * weight_decay) * p - lr * update
         new_m[name] = m
         new_v[name] = v
@@ -199,44 +198,83 @@ def _fit(
     return params, rows, optim
 
 
-def train_stage1(
-    data: TripletSet,
-    cia: AdapterParams,
-    cfg: TrainConfig,
-    resume: Checkpoint | None = None,
-    stop_after_epochs: int | None = None,
-) -> tuple[AdapterParams, list[dict], OptimState]:
-    """Fit the image re-alignment adapter on shifted image/text pairs.
+def _realign_step(
+    params, image_batches, texts, weight: float, loss_cfg: LossConfig, cia_cfg: CiaConfig, want_grads: bool
+):
+    """Mean contrastive loss of the cia-adapted image batches against the texts,
+    the adapted batches, and the ``cia`` gradients of each batch's loss at ``weight``."""
+    cia = blocks_to_model(params)[0]
+    adapted = [cia_forward(x, cia, cia_cfg) for x in image_batches]
+    pairs = [contrastive_loss(a.value, texts, loss_cfg) for a in adapted]
+    loss = float(np.sum([p.value for p in pairs])) / len(pairs)
+    views = [a.value for a in adapted]
+    if not want_grads:
+        return loss, views, None
+    g_w1 = g_w2 = 0.0
+    for a, p in zip(adapted, pairs):
+        _, gw1, gw2 = a.backward(p.backward(weight)[0])
+        g_w1, g_w2 = g_w1 + gw1, g_w2 + gw2
+    return loss, views, model_blocks(AdapterParams(g_w1, g_w2))
 
-    Every view of a sample counts as an independent pair. Returns the trained
-    adapter, one metrics row per epoch (plus an epoch-0 row for the untrained
-    state), and the final optimizer state.
-    """
-    # pretrain and held-out features of the per-epoch diagnostic, gathered once
-    splits = [(data.image_feats[idx], data.text_feats[idx]) for idx in map(data.indices, (PRETRAIN, EVAL_HELDOUT))]
-    imgs = splits[0][0].reshape(-1, data.spec.feature_dim)
-    txts = np.repeat(splits[0][1], data.spec.views, axis=0)
-    loss_cfg = LossConfig(cfg.tau)
-    cia_cfg = CiaConfig(cfg.alpha)
+
+def _trimodal_step(params, clouds, texts, views, loss_cfg: LossConfig, want_grads: bool):
+    """Trimodal loss of the point encoder and dual heads against fixed image
+    views, and its gradients for the ``pe``/``iaa``/``taa`` blocks."""
+    _, pe, iaa, taa = blocks_to_model(params)
+    enc_out = encode_points(clouds, pe)
+    vp = dual_forward(enc_out.value, iaa)
+    sp = dual_forward(enc_out.value, taa)
+    tl = trimodal_loss(sp.value, texts, vp.value, views, loss_cfg)
+    if not want_grads:
+        return tl, None
+    d_sp, d_vp = tl.backward(1.0)
+    g_fp_t, g_t1, g_t2 = sp.backward(d_sp)
+    g_fp_v, g_v1, g_v2 = vp.backward(d_vp)
+    g_w1, g_w2, g_head = enc_out.backward(g_fp_t + g_fp_v)
+    pe_grads = PointEncoderParams(g_w1, g_w2, g_head)
+    return tl, model_blocks(None, pe_grads, AdapterParams(g_v1, g_v2), AdapterParams(g_t1, g_t2))
+
+
+def stage1_step(images: np.ndarray, texts: np.ndarray, cfg: TrainConfig):
+    """Stage 1 over aligned (n, d) image/text rows: the realign loss of the cia."""
+    loss_cfg, cia_cfg = LossConfig(cfg.tau), CiaConfig(cfg.alpha)
 
     def step(params, take, want_grads):
-        adapted = cia_forward(imgs[take], blocks_to_model(params)[0], cia_cfg)
-        loss = contrastive_loss(adapted.value, txts[take], loss_cfg)
-        if not want_grads:
-            return {"loss": loss.value}, None
-        (d_adapted,) = loss.backward(1.0)
-        _, gw1, gw2 = adapted.backward(d_adapted)
-        return {"loss": loss.value}, model_blocks(AdapterParams(gw1, gw2))
+        loss, _, grads = _realign_step(params, [images[take]], texts[take], 1.0, loss_cfg, cia_cfg, want_grads)
+        return {"loss": loss}, grads
 
-    def on_epoch(params, means):
-        cur = blocks_to_model(params)[0]
-        pre, held = (batched_contrastive_accuracy(adapt_views(im, cur, cia_cfg), tx) for im, tx in splits)
-        return {**means, "acc_pretrain": pre, "acc_heldout": held}
+    return step
 
-    params, rows, optim = _fit(
-        model_blocks(cia), step, imgs.shape[0], cfg, "stage1", resume, stop_after_epochs, on_epoch
-    )
-    return blocks_to_model(params)[0], rows, optim
+
+def stage2_step(views: np.ndarray, texts: np.ndarray, clouds: np.ndarray, cfg: TrainConfig):
+    """Stage 2 against fixed (n, m, d) image views: the trimodal loss and its terms."""
+    loss_cfg = LossConfig(cfg.tau)
+
+    def step(params, take, want_grads):
+        fixed = [views[take, k] for k in range(views.shape[1])]
+        tl, grads = _trimodal_step(params, clouds[take], texts[take], fixed, loss_cfg, want_grads)
+        return {"loss": tl.value, "loss_text": tl.text_term, "loss_image": tl.image_term}, grads
+
+    return step
+
+
+def joint_step(images: np.ndarray, texts: np.ndarray, clouds: np.ndarray, cfg: TrainConfig):
+    """The one-stage ablation over (n, m, d) raw image views: the realign loss (each
+    view at weight 1/m) plus the trimodal loss against the adapted views, which
+    are fixed targets there, so the cia learns only through the realign term."""
+    loss_cfg, cia_cfg = LossConfig(cfg.tau), CiaConfig(cfg.alpha)
+    m = images.shape[1]
+
+    def step(params, take, want_grads):
+        batches = [images[take, k] for k in range(m)]
+        realign, views, cia_grads = _realign_step(params, batches, texts[take], 1.0 / m, loss_cfg, cia_cfg, want_grads)
+        tl, grads = _trimodal_step(params, clouds[take], texts[take], views, loss_cfg, want_grads)
+        terms = dict(loss_realign=realign, loss_trimodal=tl.value, loss_text=tl.text_term, loss_image=tl.image_term)
+        if want_grads:
+            grads.update(cia_grads)
+        return terms, grads
+
+    return step
 
 
 def adapt_views(image_feats: np.ndarray, cia: AdapterParams | None, cfg: CiaConfig) -> np.ndarray:
@@ -254,27 +292,33 @@ def views_count(data: TripletSet, views_limit: int | None) -> int:
     return m
 
 
-def _trimodal_step(params, clouds, texts, views, loss_cfg: LossConfig, want_grads: bool):
-    """Trimodal loss of the point encoder and dual heads against fixed image
-    views, and its gradients for the ``pe``/``iaa``/``taa`` blocks."""
-    _, pe, iaa, taa = blocks_to_model(params)
-    enc_out = encode_points(clouds, pe)
-    vp = dual_forward(enc_out.value, iaa)
-    sp = dual_forward(enc_out.value, taa)
-    tl = trimodal_loss(sp.value, texts, vp.value, views, loss_cfg)
-    if not want_grads:
-        return tl, None
-    d_sp, d_vp = tl.backward(1.0)
-    g_fp_t, g_t1, g_t2 = sp.backward(d_sp)
-    g_fp_v, g_v1, g_v2 = vp.backward(d_vp)
-    g_w1, g_w2, g_head = enc_out.backward(g_fp_t + g_fp_v)
-    grads = model_blocks(
-        None,
-        PointEncoderParams(g_w1, g_w2, g_head),
-        AdapterParams(g_v1, g_v2),
-        AdapterParams(g_t1, g_t2),
-    )
-    return tl, grads
+def train_stage1(
+    data: TripletSet,
+    cia: AdapterParams,
+    cfg: TrainConfig,
+    resume: Checkpoint | None = None,
+    stop_after_epochs: int | None = None,
+) -> tuple[AdapterParams, list[dict], OptimState]:
+    """Fit the image re-alignment adapter on shifted image/text pairs.
+
+    Every view of a sample counts as an independent pair. Returns the trained
+    adapter, one metrics row per epoch (plus an epoch-0 row for the untrained
+    state), and the final optimizer state.
+    """
+    # pretrain and held-out features of the per-epoch diagnostic, gathered once
+    splits = [(data.image_feats[idx], data.text_feats[idx]) for idx in map(data.indices, (PRETRAIN, EVAL_HELDOUT))]
+    imgs = splits[0][0].reshape(-1, data.spec.feature_dim)
+    txts = np.repeat(splits[0][1], data.spec.views, axis=0)
+    cia_cfg = CiaConfig(cfg.alpha)
+
+    def on_epoch(params, means):
+        cur = blocks_to_model(params)[0]
+        pre, held = (batched_contrastive_accuracy(adapt_views(im, cur, cia_cfg), tx) for im, tx in splits)
+        return {**means, "acc_pretrain": pre, "acc_heldout": held}
+
+    step = stage1_step(imgs, txts, cfg)
+    params, rows, optim = _fit(model_blocks(cia), step, len(imgs), cfg, "stage1", resume, stop_after_epochs, on_epoch)
+    return blocks_to_model(params)[0], rows, optim
 
 
 def train_stage2(
@@ -296,18 +340,9 @@ def train_stage2(
     m = views_count(data, views_limit)
     idx = data.indices(PRETRAIN)
     adapted = adapt_views(data.image_feats[idx][:, :m], cia, CiaConfig(cfg.alpha))
-    texts = data.text_feats[idx]
-    clouds = data.points[idx]
-    loss_cfg = LossConfig(cfg.tau)
-
-    def step(params, take, want_grads):
-        views = [adapted[take, k] for k in range(m)]
-        tl, grads = _trimodal_step(params, clouds[take], texts[take], views, loss_cfg, want_grads)
-        return {"loss": tl.value, "loss_text": tl.text_term, "loss_image": tl.image_term}, grads
-
-    params, rows, optim = _fit(
-        model_blocks(None, encoder, iaa, taa), step, idx.size, cfg, "stage2", resume, stop_after_epochs
-    )
+    step = stage2_step(adapted, data.text_feats[idx], data.points[idx], cfg)
+    blocks = model_blocks(None, encoder, iaa, taa)
+    params, rows, optim = _fit(blocks, step, idx.size, cfg, "stage2", resume, stop_after_epochs)
     _, out_pe, out_iaa, out_taa = blocks_to_model(params)
     return out_pe, out_iaa, out_taa, rows, optim
 
@@ -323,55 +358,18 @@ def train_onestage(
     resume: Checkpoint | None = None,
     stop_after_epochs: int | None = None,
 ) -> tuple[AdapterParams, PointEncoderParams, AdapterParams, AdapterParams, list[dict], OptimState]:
-    """Joint ablation: one loop over realign + trimodal with the cia trainable.
-
-    The trimodal term still treats the adapted image features as frozen
-    targets, so the cia only learns through the realign term.
-    """
+    """Joint ablation: one loop over realign + trimodal with the cia trainable
+    (see ``joint_step``)."""
     m = views_count(data, views_limit)
     idx = data.indices(PRETRAIN)
-    images = data.image_feats[idx][:, :m]
-    texts = data.text_feats[idx]
-    clouds = data.points[idx]
-    loss_cfg = LossConfig(cfg.tau)
-    cia_cfg = CiaConfig(cfg.alpha)
-
-    def step(params, take, want_grads):
-        cur_cia = blocks_to_model(params)[0]
-        adapted_views = [cia_forward(images[take, k], cur_cia, cia_cfg) for k in range(m)]
-        realign_pairs = [contrastive_loss(av.value, texts[take], loss_cfg) for av in adapted_views]
-        views = [av.value for av in adapted_views]
-        tl, grads = _trimodal_step(params, clouds[take], texts[take], views, loss_cfg, want_grads)
-        terms = {
-            "loss_realign": float(np.sum([rp.value for rp in realign_pairs])) / m,
-            "loss_trimodal": tl.value,
-            "loss_text": tl.text_term,
-            "loss_image": tl.image_term,
-        }
-        if want_grads:
-            g_c1 = np.zeros_like(params["cia.w1"])
-            g_c2 = np.zeros_like(params["cia.w2"])
-            for av, rp in zip(adapted_views, realign_pairs):
-                (d_ad,) = rp.backward(1.0 / m)
-                _, gw1, gw2 = av.backward(d_ad)
-                g_c1 += gw1
-                g_c2 += gw2
-            grads.update(model_blocks(AdapterParams(g_c1, g_c2)))
-        return terms, grads
+    step = joint_step(data.image_feats[idx][:, :m], data.text_feats[idx], data.points[idx], cfg)
 
     def on_epoch(params, means):
         return {"loss": means["loss_realign"] + means["loss_trimodal"], **means}
 
+    blocks = model_blocks(cia, encoder, iaa, taa)
     params, rows, optim = _fit(
-        model_blocks(cia, encoder, iaa, taa),
-        step,
-        idx.size,
-        cfg,
-        "joint",
-        resume,
-        stop_after_epochs,
-        on_epoch,
-        initial_row=False,
+        blocks, step, idx.size, cfg, "joint", resume, stop_after_epochs, on_epoch, initial_row=False
     )
     out_cia, out_pe, out_iaa, out_taa = blocks_to_model(params)
     return out_cia, out_pe, out_iaa, out_taa, rows, optim

@@ -1,3 +1,5 @@
+import pytest
+
 from tamm.gradcheck import CASES, TOLERANCE, all_pass, run_gradcheck
 
 EXPECTED_COVERAGE = {
@@ -11,7 +13,9 @@ EXPECTED_COVERAGE = {
     "contrastive_loss",
     "trimodal_loss",
     "point_encoder",
-    "stage2_composite",
+    "stage1_step",
+    "stage2_step",
+    "joint_step",
     "probe_layer",
 }
 
@@ -26,7 +30,8 @@ def test_fresh_build_passes():
     assert {r.name for r in results} == EXPECTED_COVERAGE
 
 
-def test_corrupted_backward_named():
-    results = run_gradcheck(corrupt="dual_forward")
+@pytest.mark.parametrize("case", ["dual_forward", "joint_step"])
+def test_corrupted_backward_named(case):
+    results = run_gradcheck(corrupt=case)
     failed = [r.name for r in results if r.max_rel_error >= TOLERANCE]
-    assert failed == ["dual_forward"]
+    assert failed == [case]

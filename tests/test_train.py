@@ -7,15 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamm.adapters import AdapterParams, init_adapter
+from tamm.adapters import CiaConfig, init_adapter
 from tamm.datagen import PRETRAIN, DatasetSpec, generate
 from tamm.encoders import init_point_encoder
 from tamm.errors import ConfigError, FormatError, IncompatibilityError, ShapeError
 from tamm.train import (
+    ADAM_EPS,
     Checkpoint,
     OptimState,
     TrainConfig,
     adamw_step,
+    adapt_views,
     blocks_to_model,
     config_from_meta,
     config_to_meta,
@@ -23,6 +25,8 @@ from tamm.train import (
     load_checkpoint,
     model_blocks,
     save_checkpoint,
+    stage1_step,
+    stage2_step,
     train_onestage,
     train_stage1,
     train_stage2,
@@ -69,9 +73,9 @@ class TestAdamW:
     def test_first_step_direction(self):
         params = {"a": np.array([1.0, -2.0, 0.5])}
         g = np.array([0.3, -0.7, 2.0])
-        lr, eps = 0.01, 1e-8
-        new, state = adamw_step(params, {"a": g}, OptimState.zeros(params), lr=lr, weight_decay=0.0, eps=eps)
-        expected = params["a"] - lr * g / (np.abs(g) + eps)
+        lr = 0.01
+        new, state = adamw_step(params, {"a": g}, OptimState.zeros(params), lr=lr, weight_decay=0.0)
+        expected = params["a"] - lr * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(new["a"], expected, atol=1e-15)
         assert state.step == 1
 
@@ -168,25 +172,16 @@ class TestStage1:
 
     def test_first_steps_monotone_on_separable_batch(self, data):
         # fixed batch, fixed lr: the realign objective falls at every step
-        from tamm.adapters import CiaConfig, cia_forward
-        from tamm.losses import LossConfig, contrastive_loss
-        from tamm.train import OptimState, adamw_step
-
         idx = data.indices(PRETRAIN)[:16]
-        imgs = data.image_feats[idx, 0]
-        txts = data.text_feats[idx]
+        step = stage1_step(data.image_feats[idx, 0], data.text_feats[idx], TrainConfig())
         cia, *_ = small_models(data.spec.feature_dim)
-        params = {"w1": cia.w1.copy(), "w2": cia.w2.copy()}
+        params = model_blocks(cia)
         state = OptimState.zeros(params)
         losses = []
         for _ in range(11):
-            cur = AdapterParams(params["w1"], params["w2"])
-            adapted = cia_forward(imgs, cur, CiaConfig(0.2))
-            loss = contrastive_loss(adapted.value, txts, LossConfig(0.07))
-            losses.append(loss.value)
-            (d_ad,) = loss.backward(1.0)
-            _, g1, g2 = adapted.backward(d_ad)
-            params, state = adamw_step(params, {"w1": g1, "w2": g2}, state, lr=1e-3)
+            terms, grads = step(params, np.arange(16), True)
+            losses.append(terms["loss"])
+            params, state = adamw_step(params, grads, state, lr=1e-3)
         for a, b in zip(losses, losses[1:]):
             assert b < a
 
@@ -200,12 +195,6 @@ class TestStage2:
         assert (cia.w1.tobytes(), cia.w2.tobytes()) == before
 
     def test_loss_drops_below_untrained(self, data):
-        from tamm.adapters import CiaConfig, dual_forward
-        from tamm.datagen import PRETRAIN
-        from tamm.encoders import encode_points
-        from tamm.losses import LossConfig, trimodal_loss
-        from tamm.train import adapt_views
-
         cia, pe, iaa, taa = small_models(data.spec.feature_dim)
         cfg = TrainConfig(seed=0, **SMALL_CFG)
         pe1, iaa1, taa1, rows, _ = train_stage2(data, cia, pe, iaa, taa, cfg, stop_after_epochs=1)
@@ -213,13 +202,10 @@ class TestStage2:
 
         idx = data.indices(PRETRAIN)
         adapted = adapt_views(data.image_feats[idx], cia, CiaConfig(cfg.alpha))
-        views = [adapted[:, k] for k in range(data.spec.views)]
+        step = stage2_step(adapted, data.text_feats[idx], data.points[idx], cfg)
 
         def eval_loss(enc, a, b):
-            f_p = encode_points(data.points[idx], enc).value
-            return trimodal_loss(
-                dual_forward(f_p, b).value, data.text_feats[idx], dual_forward(f_p, a).value, views, LossConfig(cfg.tau)
-            ).value
+            return step(model_blocks(None, enc, a, b), np.arange(idx.size), want_grads=False)[0]["loss"]
 
         assert eval_loss(pe1, iaa1, taa1) < eval_loss(pe, iaa, taa)
 
