@@ -189,8 +189,10 @@ def _tune_shift(enc: FrozenEncoderSpec, unshifted: np.ndarray, texts: np.ndarray
 
 
 def _quantize32(a: np.ndarray) -> np.ndarray:
-    # datasets live on the f32 grid so the on-disk round trip is bit-exact
-    return a.astype(np.float32).astype(np.float64)
+    # datasets live on the f32 grid so the on-disk round trip is bit-exact;
+    # rounded in place, so a full-size float64 copy is never made
+    a[...] = a.astype(np.float32)
+    return a
 
 
 def generate(spec: DatasetSpec) -> TripletSet:
@@ -233,8 +235,14 @@ def generate(spec: DatasetSpec) -> TripletSet:
     corners = np.array([[x, y, w] for x in (-1, 1) for y in (-1, 1) for w in (-1, 1)], dtype=np.float64)
     bases = GEOM_BASE_SCALE * corners[np.arange(GEOM_ANCHORS) % 8]
     centers = bases + ((latents * vis) @ geo).reshape(n, GEOM_ANCHORS, 3)
-    assign = np.arange(spec.points_per_cloud) % GEOM_ANCHORS
-    points = centers[:, assign, :] + POINT_JITTER * rng.normal(size=(n, spec.points_per_cloud, 3))
+    # built in place: the scaled jitter plus the centre of each point's blob,
+    # point p sitting on blob p % GEOM_ANCHORS
+    n_pts = spec.points_per_cloud
+    whole = n_pts - n_pts % GEOM_ANCHORS
+    points = rng.normal(size=(n, n_pts, 3))
+    points *= POINT_JITTER
+    points[:, :whole].reshape(n, whole // GEOM_ANCHORS, GEOM_ANCHORS, 3)[...] += centers[:, None]
+    points[:, whole:] += centers[:, : n_pts - whole]
 
     text_feats = frozen_text_embed(latents * sem, enc)
     unshifted = np.stack([frozen_image_embed(latents * vis, k, enc, shifted=False) for k in range(m)], axis=1)

@@ -10,7 +10,11 @@ is a per-point MLP pooled by concatenated mean and max.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import re
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -200,16 +204,19 @@ def _canonical_order(cloud: np.ndarray) -> np.ndarray:
     return np.lexsort((cloud[:, 2], cloud[:, 1], cloud[:, 0]))
 
 
-def _tree_sum(x: np.ndarray) -> np.ndarray:
-    # adjacent-pair balanced reduction over the point axis of (B, N, h):
-    # duplicating every point doubles every partial sum exactly, so pooled
-    # means survive duplication bitwise
-    while x.shape[1] > 1:
-        k = x.shape[1] // 2
-        paired = x[:, 0 : 2 * k : 2] + x[:, 1 : 2 * k : 2]
-        if x.shape[1] % 2:
-            paired = np.concatenate([paired, x[:, -1:]], axis=1)
-        x = paired
+def _tree_sum(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    # adjacent-pair balanced reduction over the point axis of a contiguous
+    # (B, N, h) array, level by level between x's buffer and ``spare`` (at
+    # least B*N*h floats), both overwritten: duplicating every point doubles
+    # every partial sum exactly, so pooled means survive duplication bitwise
+    n_c, n, h = x.shape
+    while n > 1:
+        k, odd = n // 2, n % 2
+        dst = spare.reshape(-1)[: n_c * (k + odd) * h].reshape(n_c, k + odd, h)
+        np.add(x[:, 0 : 2 * k : 2], x[:, 1 : 2 * k : 2], out=dst[:, :k])
+        if odd:
+            dst[:, k] = x[:, -1]
+        spare, x, n = x, dst, k + odd
     return x[:, 0]
 
 
@@ -220,6 +227,54 @@ def _relu_grad(act: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.negative((act > 0.0).view(np.int8), out=bits, dtype=np.int64)
     np.bitwise_and(bits, g.view(np.int64), out=bits)
     return out
+
+
+def _lane_count(n_groups: int) -> int:
+    """Threads for the encoder's groups: the CPUs of this process's affinity
+    mask over BLAS's thread count, at most one per group; one lane when the
+    BLAS thread count is unset, since BLAS then keeps every CPU busy."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        # OpenBLAS takes the first of these that C's atoi reads as positive
+        found = re.match(r"\s*[+-]?\d+", os.environ.get(var, ""))
+        if found and int(found.group()) > 0:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            return max(1, min(n_groups, cpus // int(found.group())))
+    return 1
+
+
+def _in_lanes(n_groups: int, lanes: int, run) -> None:
+    """``run(lane, g)`` for every group g; lane k takes groups k, k + lanes, ...
+
+    Lanes 1 and up are threads; the caller runs lane 0 and waits for all. A
+    lane stops at its first failing group, so every group below the lowest
+    failing one ran cleanly, and that group's error, the one a serial loop
+    meets first, is raised.
+    """
+    failed = {}
+
+    def lane(k):
+        for g in range(k, n_groups, lanes):
+            try:
+                run(k, g)
+            except Exception as exc:  # handed to the caller, raised below
+                failed[g] = exc
+                return
+
+    # each thread runs in a copy of the caller's context, so numpy's error
+    # state (np.errstate, np.seterr) holds in every lane as in the caller
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(lane, k), name=f"encoder-lane-{k}")
+        for k in range(1, lanes)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        lane(0)
+    finally:
+        for t in threads:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
 
 
 def encode_points(clouds, params: PointEncoderParams) -> GradPair:
@@ -235,10 +290,22 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     group's layers bit for bit. Every product is row-blocked only, so the
     result does not depend on the grouping.
 
+    Groups run forward and backward on parallel lanes, one per CPU that BLAS
+    leaves idle: the CPUs of the process's affinity mask divided by BLAS's
+    thread count, read as OpenBLAS reads it (``OPENBLAS_NUM_THREADS``, then
+    ``OMP_NUM_THREADS``), at most one lane per group. With neither variable
+    set, BLAS already uses every CPU and the groups run on the calling thread
+    alone. So on a machine with c CPUs, ``OPENBLAS_NUM_THREADS=1`` gives c
+    lanes. Each lane writes only its own groups' rows, and the head, the
+    normalization and the weight-gradient products run whole afterwards; no
+    sum changes its order, so every output bit is the same at any lane count.
+
     Clouds, weights and the head output are checked finite; the hidden
     layers only when the checked maxima do not bound them far from overflow.
+    A non-finite hidden layer raises the ``NumericError`` of the first group
+    that has one, at every lane count.
     """
-    arr = nk.as_f64(clouds, "point cloud")
+    arr, x_max = nk._checked(clouds, "point cloud")
     squeezed = arr.ndim == 2
     if squeezed:
         arr = arr[None]
@@ -247,8 +314,8 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     n_b, n_pts, _ = arr.shape
     if n_pts < MIN_CLOUD_POINTS:
         raise ShapeError(f"point clouds need at least {MIN_CLOUD_POINTS} points, got {n_pts}")
-    w1 = nk.as_f64(params.w1, "point encoder w1")
-    w2 = nk.as_f64(params.w2, "point encoder w2")
+    w1, w1_max = nk._checked(params.w1, "point encoder w1")
+    w2, w2_max = nk._checked(params.w2, "point encoder w2")
     head = nk.as_f64(params.head, "point encoder head")
     ordered = np.empty_like(arr)
 
@@ -256,35 +323,44 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     # relu can hide a hidden -inf from the output check (a non-finite pooled
     # sum cannot), so scan the hidden layers unless these bounds are far from
     # overflow; a nan bound (inf * 0) scans too
-    lin1_bound = 3.0 * float(np.abs(arr).max(initial=0.0)) * float(np.abs(w1).max(initial=0.0))
-    lin2_bound = h * lin1_bound * float(np.abs(w2).max(initial=0.0))
+    lin1_bound = 3.0 * x_max * w1_max
+    lin2_bound = h * lin1_bound * w2_max
     scan = not (lin1_bound < OVERFLOW_SAFE and lin2_bound < OVERFLOW_SAFE)
     flat = ordered.reshape(n_b * n_pts, 3)
     groups = [(lo, min(lo + GROUP, n_b)) for lo in range(0, n_b, GROUP)]
-    scratch1 = np.empty((min(GROUP, n_b) * n_pts, h))
-    scratch2 = np.empty_like(scratch1)
+    lanes = _lane_count(len(groups))
+    # one scratch pair per lane, so no lane allocates a buffer per group
+    block = min(GROUP, n_b) * n_pts
+    scratch = [(np.empty((block, h)), np.empty((block, h))) for _ in range(lanes)]
 
-    def layers(lo, hi, act1, check):
+    def layers(lo, hi, act1, act2, check):
         # relu'd hidden layers of clouds lo:hi, layer 1 into act1 and layer 2
-        # into scratch2, returned as (clouds, points, h)
+        # into act2, returned as (clouds, points, h)
         x = flat[lo * n_pts : hi * n_pts]
         np.matmul(x, w1, out=act1)
         if check:
             nk.as_f64(act1, "point encoder layer 1")
         np.maximum(act1, 0.0, out=act1)
-        act2 = np.matmul(act1, w2, out=scratch2[: len(x)])
+        np.matmul(act1, w2, out=act2)
         if check:
             nk.as_f64(act2, "point encoder layer 2")
         np.maximum(act2, 0.0, out=act2)
         return act2.reshape(hi - lo, n_pts, h)
 
     pooled = np.empty((n_b, 2 * h))
-    for lo, hi in groups:
+
+    def forward_group(lane, g):
+        lo, hi = groups[g]
+        m = (hi - lo) * n_pts
+        buf1, buf2 = scratch[lane]
         for i in range(lo, hi):
             ordered[i] = arr[i][_canonical_order(arr[i])]
-        feats = layers(lo, hi, scratch1[: (hi - lo) * n_pts], scan)
-        np.divide(_tree_sum(feats), n_pts, out=pooled[lo:hi, :h])
+        feats = layers(lo, hi, buf1[:m], buf2[:m], scan)
+        # the max first: the tree sum overwrites both buffers
         feats.max(axis=1, out=pooled[lo:hi, h:])
+        np.divide(_tree_sum(feats, buf1), n_pts, out=pooled[lo:hi, :h])
+
+    _in_lanes(len(groups), lanes, forward_group)
     out = nk.l2_normalize(pooled @ head)
     value = out.value[0] if squeezed else out.value
 
@@ -303,16 +379,22 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
         act1 = np.empty((n_b * n_pts, h))
         g_lin2 = np.empty_like(act1)
         g_lin1 = np.empty_like(act1)
-        for lo, hi in groups:
+
+        def backward_group(lane, g):
+            lo, hi = groups[g]
             rows = slice(lo * n_pts, hi * n_pts)
+            m = (hi - lo) * n_pts
+            buf1, buf2 = scratch[lane]
             # the recomputed layers equal the forward's bit for bit: no scan
-            feats = layers(lo, hi, act1[rows], False)
+            feats = layers(lo, hi, act1[rows], buf2[:m], False)
             g_feats = _relu_grad(feats, share[lo:hi], g_lin2[rows].reshape(feats.shape))
             # relu outputs hold no nan or -0.0, so this is argmax's first pick
             amax = (feats == pooled[lo:hi, None, h:]).argmax(axis=1)
             g_feats[np.arange(hi - lo)[:, None], amax, np.arange(h)] = peak[lo:hi]
-            g_act1 = np.matmul(g_lin2[rows], w2.T, out=scratch1[: (hi - lo) * n_pts])
+            g_act1 = np.matmul(g_lin2[rows], w2.T, out=buf1[:m])
             _relu_grad(act1[rows], g_act1, g_lin1[rows])
+
+        _in_lanes(len(groups), lanes, backward_group)
         # the weight gradients sum over all B*N rows in one product each:
         # splitting their inner axis would change the order of summation
         return flat.T @ g_lin1, act1.T @ g_lin2, g_head

@@ -8,6 +8,7 @@ that the checked inputs do not already bound far from overflow.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, NamedTuple
 
@@ -47,6 +48,11 @@ def _checked(x, name: str) -> tuple[np.ndarray, float]:
 
 def as_f64(x, name: str = "input") -> np.ndarray:
     return _checked(x, name)[0]
+
+
+def _quiet(expected: bool):
+    """Silences overflow and invalid-value warnings when ``expected``."""
+    return np.errstate(over="ignore", invalid="ignore") if expected else contextlib.nullcontext()
 
 
 def _finite_out(arr: np.ndarray, op: str) -> np.ndarray:
@@ -100,13 +106,17 @@ def relu(x) -> GradPair:
 def gelu(x) -> GradPair:
     """Tanh-approximation gelu: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
     arr, x_max = _checked(x, "gelu input")
+    # past this bound the cubic overflows to inf and tanh saturates to the
+    # exact +-1; the overflow (and, backward, the inf * 0) is expected there
+    huge = not x_max * x_max * x_max < OVERFLOW_SAFE
     # in-place staging: this op dominates the training profile
-    sq = arr * arr
-    t = sq * arr
-    t *= GELU_CUBIC
-    t += arr
-    t *= _SQRT_2_OVER_PI
-    np.tanh(t, out=t)
+    with _quiet(huge):
+        sq = arr * arr
+        t = sq * arr
+        t *= GELU_CUBIC
+        t += arr
+        t *= _SQRT_2_OVER_PI
+        np.tanh(t, out=t)
     out = 1.0 + t
     out *= arr
     out *= 0.5
@@ -114,12 +124,13 @@ def gelu(x) -> GradPair:
 
     def backward(g):
         gm = _check_grad_shape(g, out.shape, "gelu")
-        d_inner = sq * (3.0 * GELU_CUBIC)
-        d_inner += 1.0
-        d_inner *= _SQRT_2_OVER_PI
-        d_inner *= arr
-        d_inner *= 1.0 - t * t
-        if not x_max * x_max * x_max < OVERFLOW_SAFE:
+        with _quiet(huge):
+            d_inner = sq * (3.0 * GELU_CUBIC)
+            d_inner += 1.0
+            d_inner *= _SQRT_2_OVER_PI
+            d_inner *= arr
+            d_inner *= 1.0 - t * t
+        if huge:
             # where the cubic overflowed, tanh saturates and inf * 0 left nan;
             # zero leaves 0.5 * (1 + t), the exact limits 1 and 0 of the slope
             d_inner[np.isnan(d_inner)] = 0.0

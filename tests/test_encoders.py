@@ -1,6 +1,11 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from tamm import encoders
 from tamm import numkit as nk
 from tamm.datagen import DatasetSpec, generate
 from tamm.encoders import (
@@ -291,3 +296,108 @@ class TestNonFiniteContract:
     def test_finite_case_encodes(self):
         cloud, params = _overflow_case("none")
         assert np.all(np.isfinite(encode_points(cloud, params).value))
+
+
+class _CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        _CountingThread.started += 1
+        super().start()
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Sets the lane rule's inputs, one BLAS thread and ``cpus`` CPUs, and
+    counts the threads the encoder starts. Threads switch every microsecond,
+    so lanes interleave as finely as they can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    monkeypatch.setattr(_CountingThread, "started", 0)
+    monkeypatch.setattr(encoders.threading, "Thread", _CountingThread)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+    def use(cpus, blas="1"):
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    yield use
+    sys.setswitchinterval(interval)
+
+
+def _two_layer_overflows():
+    # three groups: the second overflows layer 2 only, the third layer 1
+    h = 4
+    clouds = np.abs(np.random.default_rng(23).normal(size=(3 * GROUP, 16, 3))) + 0.5
+    clouds[GROUP + 2] *= 100.0
+    clouds[2 * GROUP + 5] *= 1e160
+    w1, w2 = np.full((3, h), 0.5), np.full((h, h), 0.5)
+    w1[:, 0] = -1e160
+    w2[:, 0] = 1e306
+    return clouds, PointEncoderParams(w1, w2, np.full((2 * h, 3), 0.25))
+
+
+class TestLanes:
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3, 8])
+    @pytest.mark.parametrize("case", list(FUSED_CASES))
+    def test_value_and_gradients_bit_identical(self, case, n_lanes, lanes):
+        make, hidden, out_dim = FUSED_CASES[case]
+        clouds = make()
+        params = init_point_encoder(hidden, out_dim, 1)
+        ref = _reference_encode(clouds, params)
+        lanes(n_lanes)
+        got = encode_points(clouds, params)
+        g = np.random.default_rng(21).normal(size=np.shape(ref.value))
+        for want, have in zip([ref.value, *ref.backward(g)], [got.value, *got.backward(g)]):
+            np.testing.assert_array_equal(have, want)
+            np.testing.assert_array_equal(np.signbit(have), np.signbit(want))
+        n_groups = -(-len(clouds) // GROUP) if np.ndim(clouds) == 3 else 1
+        assert _CountingThread.started == 2 * (min(n_lanes, n_groups) - 1)
+
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3])
+    def test_error_is_the_first_failing_groups(self, n_lanes, lanes):
+        clouds, params = _two_layer_overflows()
+        lanes(n_lanes)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="point encoder layer 2 "):
+            encode_points(clouds, params)
+        assert _CountingThread.started == n_lanes - 1
+
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3])
+    def test_every_lane_keeps_the_callers_error_state(self, n_lanes, lanes):
+        clouds, params = _two_layer_overflows()
+        lanes(n_lanes)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            encode_points(clouds, params)
+
+    def test_no_thread_when_blas_threads_unset(self, lanes):
+        lanes(64, blas=None)
+        clouds = np.random.default_rng(24).normal(size=(4 * GROUP, 16, 3))
+        out = encode_points(clouds, init_point_encoder(8, 4, 2))
+        out.backward(np.ones((4 * GROUP, 4)))
+        assert _CountingThread.started == 0
+
+    @pytest.mark.parametrize(
+        "env, cpus, groups, want",
+        [
+            ({}, 8, 16, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 16, 2),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 16, 1),
+            ({"OPENBLAS_NUM_THREADS": "3"}, 2, 16, 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 8, 16, 4),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),
+            ({"OMP_NUM_THREADS": "1"}, 4, 16, 4),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 16, 2),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 16, 4),
+            ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, 16, 2),
+            ({"OPENBLAS_NUM_THREADS": " 2threads"}, 4, 16, 2),
+            ({"OPENBLAS_NUM_THREADS": "-1"}, 4, 16, 1),
+        ],
+    )
+    def test_lane_rule(self, env, cpus, groups, want, lanes, monkeypatch):
+        lanes(cpus, blas=None)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert encoders._lane_count(groups) == want

@@ -109,21 +109,23 @@ class TestActivations:
 
 def _parent_gelu_slope(x, g):
     """gelu's backward as the formula stood before large inputs were handled."""
-    sq = x * x
-    t = np.tanh(math.sqrt(2.0 / math.pi) * (x + nk.GELU_CUBIC * (sq * x)))
-    d_inner = sq * (3.0 * nk.GELU_CUBIC)
-    d_inner += 1.0
-    d_inner *= math.sqrt(2.0 / math.pi)
-    d_inner *= x
-    d_inner *= 1.0 - t * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = x * x
+        t = np.tanh(math.sqrt(2.0 / math.pi) * (x + nk.GELU_CUBIC * (sq * x)))
+        d_inner = sq * (3.0 * nk.GELU_CUBIC)
+        d_inner += 1.0
+        d_inner *= math.sqrt(2.0 / math.pi)
+        d_inner *= x
+        d_inner *= 1.0 - t * t
     d_inner += 1.0 + t
     d_inner *= 0.5
     d_inner *= g
     return d_inner
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# gelu's overflow past |x| ~ 5.6e102 is expected and silenced in numkit; any
+# warning that escapes it fails these tests
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestGelu:
     def test_huge_inputs_take_the_exact_limits(self):
         out = nk.gelu(np.array([1e160, -1e160]))
