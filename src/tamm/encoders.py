@@ -11,6 +11,7 @@ is a per-point MLP pooled by concatenated mean and max.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
 import os
 import re
@@ -220,11 +221,13 @@ def _tree_sum(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return x[:, 0]
 
 
-def _relu_grad(act: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _relu_grad(act: np.ndarray, g: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     # np.where(act > 0, g, 0.0) into ``out`` (not aliasing ``g``), bit for bit,
-    # as an and with all-ones or all-zero words: no branch on the mask
+    # as an and with all-ones or all-zero words: no branch on the mask, built
+    # in ``mask``, a bool buffer of act's size
     bits = out.view(np.int64)
-    np.negative((act > 0.0).view(np.int8), out=bits, dtype=np.int64)
+    keep = np.greater(act, 0.0, out=mask.reshape(act.shape))
+    np.negative(keep.view(np.int8), out=bits, dtype=np.int64)
     np.bitwise_and(bits, g.view(np.int64), out=bits)
     return out
 
@@ -242,22 +245,28 @@ def _lane_count(n_groups: int) -> int:
     return 1
 
 
-def _in_lanes(n_groups: int, lanes: int, run) -> None:
-    """``run(lane, g)`` for every group g; lane k takes groups k, k + lanes, ...
+def _in_lanes(n_tasks: int, lanes: int, run) -> None:
+    """``run(lane, t)`` for every task t < n_tasks, on ``lanes`` lanes that
+    take the tasks in order from one shared counter, so task 0 starts first
+    and the lanes that finish early take more of the rest.
 
     Lanes 1 and up are threads; the caller runs lane 0 and waits for all. A
-    lane stops at its first failing group, so every group below the lowest
-    failing one ran cleanly, and that group's error, the one a serial loop
+    lane stops at its first failing task. Tasks are handed out in order and a
+    lane takes no task while it runs one, so every task below the lowest
+    failing one ran cleanly, and that task's error, the one a serial loop
     meets first, is raised.
     """
+    tickets = itertools.count()
     failed = {}
 
     def lane(k):
-        for g in range(k, n_groups, lanes):
+        for t in tickets:
+            if t >= n_tasks:
+                return
             try:
-                run(k, g)
+                run(k, t)
             except Exception as exc:  # handed to the caller, raised below
-                failed[g] = exc
+                failed[t] = exc
                 return
 
     # each thread runs in a copy of the caller's context, so numpy's error
@@ -296,9 +305,14 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     ``OMP_NUM_THREADS``), at most one lane per group. With neither variable
     set, BLAS already uses every CPU and the groups run on the calling thread
     alone. So on a machine with c CPUs, ``OPENBLAS_NUM_THREADS=1`` gives c
-    lanes. Each lane writes only its own groups' rows, and the head, the
-    normalization and the weight-gradient products run whole afterwards; no
-    sum changes its order, so every output bit is the same at any lane count.
+    lanes. Backward is two passes over the same lanes: the first recomputes
+    each group's layers and builds its rows of the layer-2 gradient; in the
+    second, task 0 is the whole-batch ``w2`` gradient product, one unsplit
+    call, taken first from the lanes' shared counter, while the other lanes
+    take the groups' layer-1 gradients. Each lane writes only its own groups'
+    rows, and the head, the normalization and the ``w1`` gradient product run
+    whole; no sum changes its order, so every output bit is the same at any
+    lane count.
 
     Clouds, weights and the head output are checked finite; the hidden
     layers only when the checked maxima do not bound them far from overflow.
@@ -329,9 +343,10 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     flat = ordered.reshape(n_b * n_pts, 3)
     groups = [(lo, min(lo + GROUP, n_b)) for lo in range(0, n_b, GROUP)]
     lanes = _lane_count(len(groups))
-    # one scratch pair per lane, so no lane allocates a buffer per group
+    # two float buffers and a bool mask per lane, so no lane allocates a
+    # buffer per group
     block = min(GROUP, n_b) * n_pts
-    scratch = [(np.empty((block, h)), np.empty((block, h))) for _ in range(lanes)]
+    scratch = [(np.empty((block, h)), np.empty((block, h)), np.empty((block, h), bool)) for _ in range(lanes)]
 
     def layers(lo, hi, act1, act2, check):
         # relu'd hidden layers of clouds lo:hi, layer 1 into act1 and layer 2
@@ -352,7 +367,7 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     def forward_group(lane, g):
         lo, hi = groups[g]
         m = (hi - lo) * n_pts
-        buf1, buf2 = scratch[lane]
+        buf1, buf2, _ = scratch[lane]
         for i in range(lo, hi):
             ordered[i] = arr[i][_canonical_order(arr[i])]
         feats = layers(lo, hi, buf1[:m], buf2[:m], scan)
@@ -379,24 +394,36 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
         act1 = np.empty((n_b * n_pts, h))
         g_lin2 = np.empty_like(act1)
         g_lin1 = np.empty_like(act1)
+        g_w2 = np.empty((h, h))
 
-        def backward_group(lane, g):
+        def g_lin2_group(lane, g):
             lo, hi = groups[g]
             rows = slice(lo * n_pts, hi * n_pts)
             m = (hi - lo) * n_pts
-            buf1, buf2 = scratch[lane]
+            _, buf2, mask = scratch[lane]
             # the recomputed layers equal the forward's bit for bit: no scan
             feats = layers(lo, hi, act1[rows], buf2[:m], False)
-            g_feats = _relu_grad(feats, share[lo:hi], g_lin2[rows].reshape(feats.shape))
+            g_feats = _relu_grad(feats, share[lo:hi], g_lin2[rows].reshape(feats.shape), mask[:m])
             # relu outputs hold no nan or -0.0, so this is argmax's first pick
-            amax = (feats == pooled[lo:hi, None, h:]).argmax(axis=1)
+            amax = np.equal(feats, pooled[lo:hi, None, h:], out=mask[:m].reshape(feats.shape)).argmax(axis=1)
             g_feats[np.arange(hi - lo)[:, None], amax, np.arange(h)] = peak[lo:hi]
-            g_act1 = np.matmul(g_lin2[rows], w2.T, out=buf1[:m])
-            _relu_grad(act1[rows], g_act1, g_lin1[rows])
 
-        _in_lanes(len(groups), lanes, backward_group)
-        # the weight gradients sum over all B*N rows in one product each:
-        # splitting their inner axis would change the order of summation
-        return flat.T @ g_lin1, act1.T @ g_lin2, g_head
+        def g_w2_or_g_lin1_group(lane, t):
+            if t == 0:
+                # the weight gradients sum over all B*N rows in one product
+                # each: splitting their inner axis would change the order of
+                # summation; w2's runs first, beside the groups' layer-1 rows
+                np.matmul(act1.T, g_lin2, out=g_w2)
+                return
+            lo, hi = groups[t - 1]
+            rows = slice(lo * n_pts, hi * n_pts)
+            m = (hi - lo) * n_pts
+            buf1, _, mask = scratch[lane]
+            g_act1 = np.matmul(g_lin2[rows], w2.T, out=buf1[:m])
+            _relu_grad(act1[rows], g_act1, g_lin1[rows], mask[:m])
+
+        _in_lanes(len(groups), lanes, g_lin2_group)
+        _in_lanes(len(groups) + 1, lanes, g_w2_or_g_lin1_group)
+        return flat.T @ g_lin1, g_w2, g_head
 
     return GradPair(value, backward)

@@ -355,7 +355,7 @@ class TestLanes:
             np.testing.assert_array_equal(have, want)
             np.testing.assert_array_equal(np.signbit(have), np.signbit(want))
         n_groups = -(-len(clouds) // GROUP) if np.ndim(clouds) == 3 else 1
-        assert _CountingThread.started == 2 * (min(n_lanes, n_groups) - 1)
+        assert _CountingThread.started == 3 * (min(n_lanes, n_groups) - 1)
 
     @pytest.mark.parametrize("n_lanes", [1, 2, 3])
     def test_error_is_the_first_failing_groups(self, n_lanes, lanes):
@@ -371,6 +371,20 @@ class TestLanes:
         lanes(n_lanes)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             encode_points(clouds, params)
+
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3])
+    def test_in_lanes_raises_the_lowest_failing_task(self, n_lanes, lanes):
+        ran = []
+
+        def run(lane, t):
+            if t in (3, 5):
+                raise ValueError(f"task {t}")
+            ran.append(t)
+
+        with pytest.raises(ValueError, match="task 3"):
+            encoders._in_lanes(9, n_lanes, run)
+        assert {0, 1, 2} <= set(ran) and len(ran) == len(set(ran))
+        assert _CountingThread.started == n_lanes - 1
 
     def test_no_thread_when_blas_threads_unset(self, lanes):
         lanes(64, blas=None)
