@@ -65,21 +65,15 @@ def init_adapter(d: int, h: int, seed: int, kind: str) -> AdapterParams:
 _ACT = {"relu": nk.relu, "gelu": nk.gelu}
 
 
-def _as_batch(x):
-    arr = nk.as_f64(x, "adapter input")
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ShapeError(f"adapter input must be 1-D or 2-D, got shape {arr.shape}")
-
-
 def _two_layer(x_in, params: AdapterParams, alpha: float, act: str) -> GradPair:
-    """normalize(alpha * act(x @ w1) @ w2 + (1 - alpha) * x), the body of every adapter.
+    """normalize(alpha * act(x @ w1) @ w2 + (1 - alpha) * x) over the rows of
+    a 2-D batch, the body of every adapter.
 
     backward(g) -> (d_input, d_w1, d_w2).
     """
-    x, squeezed = _as_batch(x_in)
+    x = nk.as_f64(x_in, "adapter input")
+    if x.ndim != 2:
+        raise ShapeError(f"adapter input must be a 2-D batch, got shape {x.shape}")
     h = nk.matmul(x, params.w1)
     a = _ACT[act](h.value)
     y = nk.matmul(a.value, params.w2)
@@ -89,20 +83,16 @@ def _two_layer(x_in, params: AdapterParams, alpha: float, act: str) -> GradPair:
     blend *= alpha
     blend += (1.0 - alpha) * x
     out = nk.l2_normalize(blend)
-    value = out.value[0] if squeezed else out.value
 
     def backward(g):
-        gm = np.asarray(g, dtype=np.float64)
-        if squeezed:
-            gm = gm[None, :]
-        (gb,) = out.backward(gm)
+        (gb,) = out.backward(g)
         ga, gw2 = y.backward(alpha * gb)
         (gh,) = a.backward(ga)
         gx, gw1 = h.backward(gh)
         gx = gx + (1.0 - alpha) * gb
-        return (gx[0] if squeezed else gx), gw1, gw2
+        return gx, gw1, gw2
 
-    return GradPair(value, backward)
+    return GradPair(out.value, backward)
 
 
 def cia_forward(f_img, params: AdapterParams, cfg: CiaConfig) -> GradPair:

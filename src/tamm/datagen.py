@@ -7,9 +7,10 @@ split ratio sets the shared fraction) and instance dims present in both
 factor views. Point-cloud geometry and image features are driven by the
 visual view of the latent, text features by the semantic view, so the two
 alignment targets overlap but do not coincide. Image features optionally
-pass through the fixed invertible domain shift; its strength is tuned by
-bisection until the held-out image-text matching accuracy lands in a target
-band.
+pass through the fixed invertible domain shift. The dataset spec is the only
+holder of its state: the strength is given, or tuned by bisection until the
+held-out image-text matching accuracy lands in a target band, and is stored
+in the file header.
 """
 
 from __future__ import annotations
@@ -162,14 +163,20 @@ def batched_contrastive_accuracy(image_feats, text_feats) -> float:
     return contrastive_accuracy(img_stack, txt_stack)
 
 
+def _shifted_views(enc: FrozenEncoderSpec, unshifted: np.ndarray, s: float) -> np.ndarray:
+    """Every view of the (n, m, d) unit features pushed through the domain
+    shift at strength s and renormalized."""
+    shifted = np.empty_like(unshifted)
+    for k in range(unshifted.shape[1]):
+        shifted[:, k] = nk.l2_normalize(shift_apply(unshifted[:, k], enc, s)).value
+    return shifted
+
+
 def _tune_shift(enc: FrozenEncoderSpec, unshifted: np.ndarray, texts: np.ndarray) -> float:
     """Bisection on the shift strength until held-out accuracy hits the band."""
 
     def acc_at(s: float) -> float:
-        shifted = np.empty_like(unshifted)
-        for k in range(unshifted.shape[1]):
-            shifted[:, k] = nk.l2_normalize(shift_apply(unshifted[:, k], enc, s)).value
-        return batched_contrastive_accuracy(shifted, texts)
+        return batched_contrastive_accuracy(_shifted_views(enc, unshifted, s), texts)
 
     lo_acc = acc_at(1.0)
     if lo_acc > _TUNE_INNER_BAND[1]:
@@ -200,7 +207,7 @@ def generate(spec: DatasetSpec) -> TripletSet:
     z, m = spec.latent_dim, spec.views
     vis, sem = factor_masks(z, spec.split_ratio)
     n_cls_dims = z - max(1, int(round(z * INSTANCE_FRACTION)))
-    enc = FrozenEncoderSpec.build(spec.seed, z, spec.feature_dim, max_views=m, shift_enabled=spec.shift_enabled)
+    enc = FrozenEncoderSpec.build(spec.seed, z, spec.feature_dim, max_views=m)
 
     anchors = None
     rng = None
@@ -245,7 +252,7 @@ def generate(spec: DatasetSpec) -> TripletSet:
     points[:, whole:] += centers[:, : n_pts - whole]
 
     text_feats = frozen_text_embed(latents * sem, enc)
-    unshifted = np.stack([frozen_image_embed(latents * vis, k, enc, shifted=False) for k in range(m)], axis=1)
+    unshifted = np.stack([frozen_image_embed(latents * vis, k, enc) for k in range(m)], axis=1)
 
     if spec.shift_enabled:
         if spec.shift_strength is None:
@@ -255,11 +262,8 @@ def generate(spec: DatasetSpec) -> TripletSet:
             strength = spec.shift_strength
     else:
         strength = 0.0
-    enc = enc.with_strength(strength)
-    if strength > 0.0:
-        image_feats = np.stack([frozen_image_embed(latents * vis, k, enc, shifted=True) for k in range(m)], axis=1)
-    else:
-        image_feats = unshifted
+    # renormalizing at s = 0 would move bits, so an unshifted set stores its views as they are
+    image_feats = _shifted_views(enc, unshifted, strength) if strength > 0.0 else unshifted
 
     return TripletSet(
         spec=replace(spec, shift_strength=strength),

@@ -2,10 +2,11 @@
 permutation-invariant point-cloud encoder.
 
 The frozen paths project latent vectors through fixed seeded matrices into a
-shared d-dimensional unit sphere; the image path adds a per-view perturbation
-and, optionally, a fixed invertible domain shift (planar rotations plus a
-common bias) whose strength models the rendered-image gap. The point encoder
-is a per-point MLP pooled by concatenated mean and max.
+shared d-dimensional unit sphere; the image path adds a per-view perturbation.
+The fixed invertible domain shift (planar rotations plus a common bias) is
+defined here, but its strength belongs to the dataset, which passes it to
+every call. The point encoder is a per-point MLP pooled by concatenated mean
+and max.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import os
 import re
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,18 +36,16 @@ GROUP = 8  # clouds per cache block of the point-encoder step; fixed, not a knob
 
 @dataclass(frozen=True)
 class FrozenEncoderSpec:
-    """Fixed projections for the text and image paths plus the domain shift.
+    """Fixed projections for the text and image paths and the shift planes.
 
     Everything is derived from ``seed`` at construction, so serializing
-    (seed, dims, flags, strength) reproduces the encoder exactly.
+    (seed, dims) reproduces the encoder exactly.
     """
 
     seed: int
     latent_dim: int
     feature_dim: int
     max_views: int
-    shift_enabled: bool
-    shift_strength: float
     text_proj: np.ndarray = field(repr=False, compare=False)
     view_projs: np.ndarray = field(repr=False, compare=False)
     shift_u: np.ndarray = field(repr=False, compare=False)
@@ -54,19 +53,9 @@ class FrozenEncoderSpec:
     shift_bias_dir: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def build(
-        cls,
-        seed: int,
-        latent_dim: int,
-        feature_dim: int,
-        max_views: int,
-        shift_enabled: bool = True,
-        shift_strength: float = 0.0,
-    ) -> "FrozenEncoderSpec":
+    def build(cls, seed: int, latent_dim: int, feature_dim: int, max_views: int) -> "FrozenEncoderSpec":
         if latent_dim < 1 or feature_dim < 1 or max_views < 1:
             raise ConfigError("encoder dims and view count must be >= 1")
-        if not 0.0 <= shift_strength <= 1.0:
-            raise ConfigError(f"shift strength must be in [0, 1], got {shift_strength}")
         if 2 * N_SHIFT_PLANES + 1 > feature_dim:
             raise ConfigError(f"feature_dim {feature_dim} too small for {N_SHIFT_PLANES} shift planes")
         if feature_dim <= latent_dim:
@@ -87,8 +76,6 @@ class FrozenEncoderSpec:
             latent_dim=int(latent_dim),
             feature_dim=int(feature_dim),
             max_views=int(max_views),
-            shift_enabled=bool(shift_enabled),
-            shift_strength=float(shift_strength),
             text_proj=text_proj,
             view_projs=view_projs,
             shift_u=basis[:, 0 : 2 * N_SHIFT_PLANES : 2].T.copy(),
@@ -100,16 +87,10 @@ class FrozenEncoderSpec:
             raise NumericError(f"shift transform badly conditioned: cond={cond:.3e}")
         return spec
 
-    def with_strength(self, s: float) -> "FrozenEncoderSpec":
-        if not 0.0 <= s <= 1.0:
-            raise ConfigError(f"shift strength must be in [0, 1], got {s}")
-        return replace(self, shift_strength=float(s))
 
-
-def shift_matrix(spec: FrozenEncoderSpec, s: float | None = None) -> np.ndarray:
+def shift_matrix(spec: FrozenEncoderSpec, s: float) -> np.ndarray:
     """Orthogonal linear part of the domain shift at strength s."""
-    s = spec.shift_strength if s is None else float(s)
-    theta = s * SHIFT_THETA_MAX
+    theta = float(s) * SHIFT_THETA_MAX
     d = spec.feature_dim
     m = np.eye(d)
     c, sn = math.cos(theta), math.sin(theta)
@@ -119,18 +100,11 @@ def shift_matrix(spec: FrozenEncoderSpec, s: float | None = None) -> np.ndarray:
     return m
 
 
-def shift_apply(x, spec: FrozenEncoderSpec, s: float | None = None) -> np.ndarray:
-    """Affine domain shift: rotate in the fixed planes, then add the bias."""
-    s = spec.shift_strength if s is None else float(s)
+def shift_apply(x, spec: FrozenEncoderSpec, s: float) -> np.ndarray:
+    """Affine domain shift at strength s: rotate in the fixed planes, then add the bias."""
+    s = float(s)
     arr = nk.as_f64(x, "shift input")
     return arr @ shift_matrix(spec, s).T + s * SHIFT_BIAS_SCALE * spec.shift_bias_dir
-
-
-def shift_invert(y, spec: FrozenEncoderSpec, s: float | None = None) -> np.ndarray:
-    """Exact inverse of ``shift_apply`` on raw (un-normalized) vectors."""
-    s = spec.shift_strength if s is None else float(s)
-    arr = nk.as_f64(y, "shift input")
-    return (arr - s * SHIFT_BIAS_SCALE * spec.shift_bias_dir) @ shift_matrix(spec, s)
 
 
 def frozen_text_embed(latent, spec: FrozenEncoderSpec) -> np.ndarray:
@@ -141,22 +115,16 @@ def frozen_text_embed(latent, spec: FrozenEncoderSpec) -> np.ndarray:
     return nk.l2_normalize(arr @ spec.text_proj).value
 
 
-def frozen_image_embed(latent, view_index: int, spec: FrozenEncoderSpec, shifted: bool = True) -> np.ndarray:
-    """Image-path feature: a per-view perturbation of the text-path embedding.
-
-    With ``shifted`` and an enabled shift of strength > 0, the unit feature is
-    pushed through the fixed affine transform and renormalized.
-    """
+def frozen_image_embed(latent, view_index: int, spec: FrozenEncoderSpec) -> np.ndarray:
+    """Unshifted image-path feature: a per-view perturbation of the text-path
+    embedding, renormalized."""
     if not 0 <= view_index < spec.max_views:
         raise ConfigError(f"view index {view_index} outside [0, {spec.max_views})")
     arr = nk.as_f64(latent, "image latent")
     if arr.shape[-1] != spec.latent_dim:
         raise ShapeError(f"latent dim {arr.shape[-1]} != spec latent dim {spec.latent_dim}")
     raw = arr @ spec.text_proj + VIEW_SCALE * (arr @ spec.view_projs[view_index])
-    unshifted = nk.l2_normalize(raw).value
-    if not shifted or not spec.shift_enabled or spec.shift_strength == 0.0:
-        return unshifted
-    return nk.l2_normalize(shift_apply(unshifted, spec)).value
+    return nk.l2_normalize(raw).value
 
 
 # ---------------------------------------------------------------------------

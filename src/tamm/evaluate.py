@@ -26,6 +26,7 @@ from .numkit import GradPair
 from .train import OptimState, adamw_step
 
 QUERY_PER_CLASS = 20  # fixed by the episodic protocol, not configurable
+PROBE_TRAIN_FRACTION = 0.8  # share of each class the linear probe trains on, not configurable
 PROBE_EPOCHS = 100
 PROBE_LR = 1e-2
 
@@ -38,13 +39,14 @@ class CategoryBank:
     embeddings: np.ndarray  # (C, d)
 
 
-def build_category_bank(data: TripletSet, class_ids: Sequence[int] | None = None) -> CategoryBank:
-    """Per-class category embedding: the normalized mean text feature.
+def build_category_bank(data: TripletSet, class_ids: Sequence[int]) -> CategoryBank:
+    """Per-class category embedding of each of ``class_ids`` (sorted, without
+    repeats): the normalized mean text feature.
 
     Works for generated and externally ingested triplet files alike; for
     generated data the mean collapses onto the class-anchor embedding.
     """
-    ids = np.asarray(sorted(set(np.unique(data.labels)) if class_ids is None else set(class_ids)), dtype=np.int64)
+    ids = np.asarray(sorted(set(class_ids)), dtype=np.int64)
     if ids.size == 0:
         raise ConfigError("category bank needs at least one class")
     rows = []
@@ -86,13 +88,6 @@ def zeroshot_scores(f_vp, f_sp, bank: CategoryBank, mode: str = "both") -> np.nd
     if mode == "taa":
         return sp @ bank.embeddings.T
     return vp @ bank.embeddings.T + sp @ bank.embeddings.T
-
-
-def zeroshot_classify(f_vp, f_sp, bank: CategoryBank, mode: str = "both") -> tuple[np.ndarray, np.ndarray]:
-    """Predicted class ids plus the score matrix; ties go to the lowest id."""
-    scores = zeroshot_scores(f_vp, f_sp, bank, mode)
-    preds = bank.class_ids[np.argmax(scores, axis=1)]
-    return preds, scores
 
 
 def zeroshot_topk(
@@ -166,17 +161,11 @@ def _probe_score(x: np.ndarray, y: np.ndarray, train_idx: np.ndarray, test_idx: 
     return probe_accuracy(x[test_idx], np.searchsorted(class_ids, y[test_idx]), w, b)
 
 
-def linear_probe(
-    features,
-    labels,
-    split_ratio: float = 0.8,
-    seed: int = 0,
-) -> float:
-    """Deterministic stratified split, train the linear layer, return test accuracy."""
+def linear_probe(features, labels, seed: int = 0) -> float:
+    """Deterministic stratified split (``PROBE_TRAIN_FRACTION`` of each class
+    trains), train the linear layer, return test accuracy."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if not 0.0 < split_ratio < 1.0:
-        raise ConfigError(f"split ratio must be in (0, 1), got {split_ratio}")
     class_ids = np.unique(y)
     if class_ids.size < 2:  # every class keeps at least one training sample
         raise ConfigError("probe training split covers fewer than two classes")
@@ -184,13 +173,13 @@ def linear_probe(
     for c in class_ids:
         rows = np.flatnonzero(y == c)
         perm = np.random.default_rng([seed, int(c), 0x9B0E]).permutation(rows.size)
-        n_train = max(1, int(round(split_ratio * rows.size)))
+        n_train = max(1, int(round(PROBE_TRAIN_FRACTION * rows.size)))
         train_idx.append(rows[perm[:n_train]])
         test_idx.append(rows[perm[n_train:]])
     train_idx = np.concatenate(train_idx)
     test_idx = np.concatenate(test_idx)
     if test_idx.size == 0:
-        raise ConfigError("probe test split is empty; lower the split ratio")
+        raise ConfigError("probe test split is empty; no class is large enough to hold out a sample")
     return _probe_score(x, y, train_idx, test_idx)
 
 
@@ -209,6 +198,8 @@ def fewshot_episode(labels, ways: int, shots: int, trial_seed: int) -> EpisodeSp
     """Sample ways classes, then shots + 20 instances per class without replacement."""
     y = np.asarray(labels, dtype=np.int64)
     class_ids = np.unique(y)
+    if ways < 1:
+        raise ConfigError(f"ways must be >= 1, got {ways}")
     if ways > class_ids.size:
         raise ConfigError(f"cannot pick {ways} ways from {class_ids.size} classes")
     if shots < 1:
@@ -273,6 +264,8 @@ def retrieve(query, gallery_vp, gallery_sp, mode: str, k: int = 5) -> np.ndarray
         raise ShapeError(f"query {q.shape} does not match gallery {gallery.shape}")
     if gallery.shape[0] == 0:
         raise ConfigError("retrieval gallery is empty")
+    if k < 1:
+        raise ConfigError(f"retrieval k must be >= 1, got {k}")
     if k > gallery.shape[0]:
         warnings.warn(f"k={k} exceeds gallery size {gallery.shape[0]}; clamping")
         k = gallery.shape[0]

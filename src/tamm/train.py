@@ -43,8 +43,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.base_lr > 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if not all(0 <= b < 1 for b in self.betas):
+            raise ConfigError(f"betas must lie in [0, 1), got {self.betas}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if not 0 <= self.warmup_epochs < self.total_epochs:
             raise ConfigError(f"need 0 <= warmup_epochs < total_epochs, got {self.warmup_epochs}/{self.total_epochs}")
         if self.batch_size < 2:

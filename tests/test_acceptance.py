@@ -33,7 +33,7 @@ from tamm.evaluate import (
     fewshot_episode,
     fewshot_eval,
     linear_probe,
-    zeroshot_classify,
+    zeroshot_scores,
     zeroshot_topk,
 )
 from tamm.gradcheck import TOLERANCE, run_gradcheck
@@ -254,9 +254,8 @@ def test_criterion_8_exact_invariants(tmp_path, default_data, stage1, stage2, he
         assert np.array_equal(encode_points(cloud[perm], stage2["pe"]).value, base)
 
     # argmax invariance under positive scaling
-    preds, _ = zeroshot_classify(f_vp, f_sp, bank, "both")
-    scaled, _ = zeroshot_classify(3.7 * f_vp, 3.7 * f_sp, bank, "both")
-    assert np.array_equal(preds, scaled)
+    preds = bank.class_ids[np.argmax(zeroshot_scores(f_vp, f_sp, bank, "both"), axis=1)]
+    assert zeroshot_topk(3.7 * f_vp, 3.7 * f_sp, preds, bank, "both", (1,))[1] == 1.0
 
     # top-k nesting on every evaluation
     for mode in ("both", "iaa", "taa"):

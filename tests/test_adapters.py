@@ -24,7 +24,7 @@ class TestCia:
     def test_two_dim_worked_example(self):
         # A_C(f) = (0, 1) for f = (1, 0): w1 = [[1], [0]], w2 = [[0, 1]]
         p = AdapterParams(np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]]))
-        out = cia_forward(np.array([1.0, 0.0]), p, CiaConfig(alpha=0.2)).value
+        out = cia_forward(np.array([[1.0, 0.0]]), p, CiaConfig(alpha=0.2)).value[0]
         blend = np.array([0.8, 0.2])
         np.testing.assert_allclose(out, blend / np.linalg.norm(blend), atol=1e-12)
         np.testing.assert_allclose(out, [0.97014250014533, 0.24253562503633], atol=1e-11)
@@ -60,11 +60,11 @@ class TestDual:
     def test_zero_second_layer_degenerates(self):
         p = AdapterParams(np.ones((4, 3)), np.zeros((3, 4)))
         with pytest.raises(DegenerateVectorError):
-            dual_forward(unit([1.0, 2.0, 0.5, -0.3]), p)
+            dual_forward(unit([1.0, 2.0, 0.5, -0.3])[None, :], p)
 
     def test_identity_weights_worked_example(self):
         p = AdapterParams(np.eye(2), np.eye(2))
-        f = np.array([0.6, 0.8])
+        f = np.array([[0.6, 0.8]])
         expected = nk.l2_normalize(nk.gelu(f).value).value
         np.testing.assert_allclose(dual_forward(f, p).value, expected, atol=1e-14)
 
@@ -80,6 +80,12 @@ class TestDual:
             return float(np.sum(w * out.value)), [dx, dw1, dw2]
 
         assert nk.finite_diff_check(f, [x, p.w1, p.w2]) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_input_must_be_a_batch(self, shape):
+        p = init_adapter(4, 3, 0, "dual")
+        with pytest.raises(ShapeError, match="2-D batch"):
+            dual_forward(np.ones(shape), p)
 
     def test_parameter_isolation(self):
         rng = np.random.default_rng(8)

@@ -199,6 +199,25 @@ class TestMalformedInput:
         assert main(argv) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "item",
+        ["betas=1.0,0.999", "base_lr=inf", "weight_decay=-5", "ways=0", "ways=-1", "topk-retrieve=-3",
+         "topk-retrieve=0"],
+    )
+    def test_out_of_range_value_exit_2(self, workdir, tmp_path, capsys, item):
+        key, _, value = item.partition("=")
+        data = ["--data", str(workdir / "data.bin")]
+        evaluate = ["eval", *data, "--ckpt", str(workdir / "s2.ckpt"), "--split", "all", "--report", str(tmp_path / "r.csv")]
+        argv = {
+            "ways": [*evaluate, "--task", "fewshot", "--ways", value],
+            "topk-retrieve": [*evaluate, "--task", "retrieve", "--topk-retrieve", value],
+        }.get(key, ["pretrain", "--stage", "1", *data, "--out", str(tmp_path / "x.ckpt"), "--seed", "0", *SMALL,
+                    *FAST_TRAIN, "--set", item])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_not_utf8_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"classes=\xff\n")

@@ -11,6 +11,7 @@ from tamm.datagen import DatasetSpec, generate
 from tamm.encoders import (
     GROUP,
     MIN_CLOUD_POINTS,
+    SHIFT_BIAS_SCALE,
     FrozenEncoderSpec,
     PointEncoderParams,
     encode_points,
@@ -18,14 +19,17 @@ from tamm.encoders import (
     frozen_text_embed,
     init_point_encoder,
     shift_apply,
-    shift_invert,
+    shift_matrix,
 )
 from tamm.errors import ConfigError, NumericError, ShapeError
 
 
+SHIFT = 0.6
+
+
 @pytest.fixture(scope="module")
 def spec():
-    return FrozenEncoderSpec.build(seed=7, latent_dim=16, feature_dim=64, max_views=4, shift_strength=0.6)
+    return FrozenEncoderSpec.build(seed=7, latent_dim=16, feature_dim=64, max_views=4)
 
 
 class TestFrozenPaths:
@@ -46,7 +50,7 @@ class TestFrozenPaths:
         assert float(a @ b) < 0.99
 
     def test_rebuild_identical(self, spec):
-        again = FrozenEncoderSpec.build(seed=7, latent_dim=16, feature_dim=64, max_views=4, shift_strength=0.6)
+        again = FrozenEncoderSpec.build(seed=7, latent_dim=16, feature_dim=64, max_views=4)
         rng = np.random.default_rng(3)
         latent = rng.normal(size=16)
         np.testing.assert_array_equal(frozen_text_embed(latent, spec), frozen_text_embed(latent, again))
@@ -57,7 +61,7 @@ class TestFrozenPaths:
     def test_views_share_latent(self, spec):
         rng = np.random.default_rng(4)
         latent = rng.normal(size=16)
-        feats = [frozen_image_embed(latent, k, spec, shifted=False) for k in range(4)]
+        feats = [frozen_image_embed(latent, k, spec) for k in range(4)]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert float(feats[i] @ feats[j]) > 0.0
@@ -67,25 +71,24 @@ class TestFrozenPaths:
             frozen_image_embed(np.ones(16), 4, spec)
 
     def test_zero_strength_shift_is_identity(self):
-        s0 = FrozenEncoderSpec.build(seed=9, latent_dim=8, feature_dim=32, max_views=2, shift_strength=0.0)
+        s0 = FrozenEncoderSpec.build(seed=9, latent_dim=8, feature_dim=32, max_views=2)
         rng = np.random.default_rng(5)
-        latent = rng.normal(size=8)
-        np.testing.assert_array_equal(
-            frozen_image_embed(latent, 0, s0, shifted=True),
-            frozen_image_embed(latent, 0, s0, shifted=False),
-        )
+        feats = frozen_image_embed(rng.normal(size=(3, 8)), 0, s0)
+        np.testing.assert_array_equal(shift_matrix(s0, 0.0), np.eye(32))
+        np.testing.assert_array_equal(shift_apply(feats, s0, 0.0), feats)
 
     def test_shift_changes_features(self, spec):
         rng = np.random.default_rng(6)
-        latent = rng.normal(size=16)
-        shifted = frozen_image_embed(latent, 0, spec, shifted=True)
-        plain = frozen_image_embed(latent, 0, spec, shifted=False)
+        plain = frozen_image_embed(rng.normal(size=16), 0, spec)
+        shifted = nk.l2_normalize(shift_apply(plain, spec, SHIFT)).value
         assert np.linalg.norm(shifted - plain) > 0.1
 
     def test_shift_roundtrip(self, spec):
+        # the linear part is orthogonal, so its transpose undoes it once the bias is off
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 64))
-        back = shift_invert(shift_apply(x, spec), spec)
+        y = shift_apply(x, spec, SHIFT)
+        back = (y - SHIFT * SHIFT_BIAS_SCALE * spec.shift_bias_dir) @ shift_matrix(spec, SHIFT)
         assert np.max(np.abs(back - x)) < 1e-9
 
     def test_latent_dim_checked(self, spec):

@@ -20,7 +20,7 @@ from tamm.evaluate import (
     retrieve,
     train_probe,
     write_report_csv,
-    zeroshot_classify,
+    zeroshot_scores,
     zeroshot_topk,
 )
 
@@ -40,32 +40,30 @@ class TestZeroshot:
         bank = toy_bank()
         f_vp = np.array([[0.9, 0.1, 0.0, 0.0]])
         f_sp = np.array([[0.2, 0.8, 0.0, 0.0]])
-        preds, scores = zeroshot_classify(f_vp, f_sp, bank, "both")
-        assert preds[0] == 0
-        np.testing.assert_allclose(scores[0], [1.1, 0.9])
+        np.testing.assert_allclose(zeroshot_scores(f_vp, f_sp, bank, "both")[0], [1.1, 0.9])
+        assert zeroshot_topk(f_vp, f_sp, [0], bank, "both", k_list=(1,))[1] == 1.0
 
     def test_single_adapter_modes(self):
         bank = toy_bank()
         f_vp = np.array([[0.9, 0.1, 0.0, 0.0]])
         f_sp = np.array([[0.2, 0.8, 0.0, 0.0]])
-        assert zeroshot_classify(f_vp, f_sp, bank, "iaa")[0][0] == 0
-        assert zeroshot_classify(f_vp, f_sp, bank, "taa")[0][0] == 1
+        assert zeroshot_topk(f_vp, f_sp, [0], bank, "iaa", k_list=(1,))[1] == 1.0
+        assert zeroshot_topk(f_vp, f_sp, [1], bank, "taa", k_list=(1,))[1] == 1.0
         with pytest.raises(ConfigError, match="inference mode"):
-            zeroshot_classify(f_vp, f_sp, bank, "iaa_only")
+            zeroshot_topk(f_vp, f_sp, [0], bank, "iaa_only", k_list=(1,))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         bank = CategoryBank(np.arange(5, dtype=np.int64), unit_rows(rng, 5, 8))
         f_vp, f_sp = unit_rows(rng, 20, 8), unit_rows(rng, 20, 8)
-        base, _ = zeroshot_classify(f_vp, f_sp, bank)
-        scaled, _ = zeroshot_classify(7.3 * f_vp, 7.3 * f_sp, bank)
-        np.testing.assert_array_equal(base, scaled)
+        preds = bank.class_ids[np.argmax(zeroshot_scores(f_vp, f_sp, bank), axis=1)]
+        assert zeroshot_topk(7.3 * f_vp, 7.3 * f_sp, preds, bank, k_list=(1,))[1] == 1.0
 
     def test_tie_breaks_to_lowest_id(self):
         bank = toy_bank()
         f_vp = np.array([[0.5, 0.5, 0.0, 0.0]])
-        preds, _ = zeroshot_classify(f_vp, f_vp, bank)
-        assert preds[0] == 0
+        assert zeroshot_topk(f_vp, f_vp, [0], bank, k_list=(1,))[1] == 1.0
+        assert zeroshot_topk(f_vp, f_vp, [1], bank, k_list=(1,))[1] == 0.0
 
     def test_topk_exhaustive_is_one(self):
         rng = np.random.default_rng(1)
@@ -100,7 +98,7 @@ class TestZeroshot:
 
     def test_bank_from_dataset(self):
         data = generate(DatasetSpec(seed=2, classes=4, samples_per_class=6, heldout_classes=1, views=1, points_per_cloud=16))
-        bank = build_category_bank(data)
+        bank = build_category_bank(data, np.unique(data.labels))
         assert bank.embeddings.shape == (4, data.spec.feature_dim)
         np.testing.assert_allclose(np.linalg.norm(bank.embeddings, axis=1), 1.0, atol=1e-9)
         sub = build_category_bank(data, [3])
@@ -133,9 +131,10 @@ class TestLinearProbe:
         with pytest.raises(ConfigError):
             linear_probe(np.random.default_rng(0).normal(size=(10, 4)), np.zeros(10, dtype=int))
 
-    def test_split_ratio_validated(self):
-        with pytest.raises(ConfigError):
-            linear_probe(np.ones((10, 2)), np.array([0, 1] * 5), split_ratio=1.0)
+    def test_empty_test_split_rejected(self):
+        # a one-sample class keeps its sample for training, leaving nothing to test
+        with pytest.raises(ConfigError, match="test split is empty"):
+            linear_probe(np.eye(3), np.arange(3))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -187,6 +186,11 @@ class TestFewshot:
         with pytest.raises(ConfigError):
             fewshot_episode(self.labels(), 7, 5, trial_seed=0)
 
+    @pytest.mark.parametrize("ways", [0, -1])
+    def test_too_few_ways(self, ways):
+        with pytest.raises(ConfigError, match="ways"):
+            fewshot_episode(self.labels(), ways, 5, trial_seed=0)
+
     def test_single_trial_std_zero(self):
         rng = np.random.default_rng(7)
         features = rng.normal(size=(240, 8)) + np.eye(8)[np.repeat(np.arange(6), 40) % 8] * 4
@@ -235,6 +239,12 @@ class TestRetrieve:
         vp, sp = self.gallery()
         with pytest.raises(ConfigError):
             retrieve(sp[0], vp, sp, "audio", k=3)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, k):
+        vp, sp = self.gallery()
+        with pytest.raises(ConfigError, match="k must be >= 1"):
+            retrieve(sp[0], vp, sp, "text", k=k)
 
 
 class TestDualFeatures:

@@ -131,7 +131,12 @@ class TestTrainConfig:
         assert cfg.tau == 0.07
         assert cfg.alpha == 0.2
 
-    @pytest.mark.parametrize("kwargs", [dict(base_lr=0.0), dict(warmup_epochs=5, total_epochs=5), dict(batch_size=1)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(base_lr=0.0), dict(warmup_epochs=5, total_epochs=5), dict(batch_size=1), dict(base_lr=math.inf),
+         dict(base_lr=math.nan), dict(betas=(1.0, 0.999)), dict(betas=(0.9, -0.1)), dict(betas=(0.9, math.nan)),
+         dict(weight_decay=-5.0), dict(weight_decay=math.inf)],
+    )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
