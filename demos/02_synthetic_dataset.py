@@ -24,7 +24,7 @@ from tamm.datagen import (
 
 spec = DatasetSpec(classes=10, samples_per_class=40, heldout_classes=3, views=4, points_per_cloud=64, seed=0)
 
-clean = generate(DatasetSpec(**{**spec.__dict__, "shift_enabled": False}))
+clean = generate(DatasetSpec(**{**spec.__dict__, "shift_strength": 0.0}))
 shifted = generate(spec)
 
 held = clean.indices(EVAL_HELDOUT)

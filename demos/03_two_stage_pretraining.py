@@ -4,7 +4,7 @@ Stage 1 fits the residual image adapter until shifted image features match
 their texts again; stage 2 freezes it and trains the point encoder plus both
 dual adapters against the adapted image features and the text features.
 
-Run: python demos/03_two_stage_pretraining.py   (about a minute)
+Run: python demos/03_two_stage_pretraining.py   (about ten seconds)
 """
 
 import numpy as np

@@ -2,7 +2,7 @@
 classification (with single-adapter ablation modes), linear probing, K-way
 N-shot episodes, and cross-modal retrieval.
 
-Run: python demos/04_downstream_protocols.py   (about a minute)
+Run: python demos/04_downstream_protocols.py   (about ten seconds)
 """
 
 import numpy as np

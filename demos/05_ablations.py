@@ -5,7 +5,7 @@ Everything here is also reachable from the command line:
   tamm pretrain --stage joint / --no-cia / --views N
   tamm eval --mode {both,iaa,taa}
 
-Run: python demos/05_ablations.py   (a few minutes)
+Run: python demos/05_ablations.py   (under a minute)
 """
 
 import numpy as np

@@ -3,9 +3,9 @@ gradient checks into reproducible runs.
 
 Configuration is a plain key=value file (# comments) whose keys are the
 dataset-spec and train-config field names; --set flags override file values,
-the TAMM_SEED environment variable sits between the two for the seed. All
-outputs are deterministic functions of the effective config, so rerunning a
-command reproduces its artifacts byte for byte.
+and --seed overrides both for the seed. All outputs are deterministic
+functions of the effective config, so rerunning a command reproduces its
+artifacts byte for byte.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 a path that cannot
 be read or written (missing file, directory, permissions), 4 incompatibility
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 from dataclasses import fields
 
@@ -67,19 +66,16 @@ def _parse_config_file(path) -> dict[str, str]:
 
 
 def build_configs(args) -> tuple[DatasetSpec, TrainConfig]:
-    """Merge defaults <- config file <- TAMM_SEED <- --set/--seed flags."""
+    """Merge defaults <- --config file <- --set items <- --seed, flags every config command defines."""
     merged: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(_parse_config_file(args.config))
-    env_seed = os.environ.get("TAMM_SEED")
-    if env_seed is not None:
-        merged["seed"] = env_seed
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         merged[key.strip()] = value.strip()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         merged["seed"] = str(args.seed)
 
     for key in merged:

@@ -95,9 +95,6 @@ class FramedReader:
             raise FormatError(f"trailing garbage: {left} unexpected bytes at byte {self.offset}")
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
-
-
 def _pair(text: str) -> tuple[float, float]:
     first, second = text.split(",")
     return float(first), float(second)
@@ -106,7 +103,6 @@ def _pair(text: str) -> tuple[float, float]:
 _PARSERS = {
     "int": int,
     "float": float,
-    "bool": lambda text: _BOOLS[text.lower()],
     "float | None": lambda text: None if text.lower() in ("auto", "none") else float(text),
     "tuple[float, float]": _pair,
 }
@@ -117,7 +113,7 @@ def parse_value(field, raw: str):
     parse = _PARSERS[field.type]
     try:
         return parse(raw.strip())
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"cannot parse {field.name}={raw!r} as {field.type}") from None
 
 

@@ -6,11 +6,11 @@ splits into class-signature dims (visual-only / shared / semantic-only, the
 split ratio sets the shared fraction) and instance dims present in both
 factor views. Point-cloud geometry and image features are driven by the
 visual view of the latent, text features by the semantic view, so the two
-alignment targets overlap but do not coincide. Image features optionally
-pass through the fixed invertible domain shift. The dataset spec is the only
-holder of its state: the strength is given, or tuned by bisection until the
-held-out image-text matching accuracy lands in a target band, and is stored
-in the file header.
+alignment targets overlap but do not coincide. Image features pass through
+the fixed invertible domain shift. The dataset spec is the only holder of its
+strength: given (0 is no shift), or tuned by bisection until the held-out
+image-text matching accuracy lands in a target band, and stored in the file
+header.
 """
 
 from __future__ import annotations
@@ -22,16 +22,17 @@ import numpy as np
 
 from . import numkit as nk
 from .codec import FramedReader, write_framed
-from .encoders import FrozenEncoderSpec, frozen_image_embed, frozen_text_embed, shift_apply
+from .encoders import MIN_CLOUD_POINTS, FrozenEncoderSpec, frozen_image_embed, frozen_text_embed, shift_apply
 from .errors import ConfigError, FormatError, ShapeError
 from .losses import contrastive_accuracy
 
 MAGIC = b"TAMM"
 VERSION = 1
 _HEADER_FMT = "<7IQdId"
-_HEADER_FIELDS = (  # the DatasetSpec fields _HEADER_FMT packs, in order
+_SHIFTED = "shifted"  # a header slot, no spec field: 1 when the stored strength is above 0, else 0; reads ignore it
+_HEADER_FIELDS = (  # the DatasetSpec fields _HEADER_FMT packs, in order, and the _SHIFTED slot
     "classes", "samples_per_class", "views", "latent_dim", "feature_dim", "points_per_cloud",
-    "heldout_classes", "seed", "split_ratio", "shift_enabled", "shift_strength",
+    "heldout_classes", "seed", "split_ratio", _SHIFTED, "shift_strength",
 )
 
 PRETRAIN = "pretrain"
@@ -63,8 +64,7 @@ class DatasetSpec:
     points_per_cloud: int = 256
     heldout_classes: int = 10
     split_ratio: float = 0.7
-    shift_enabled: bool = True
-    shift_strength: float | None = None  # None: tune by bisection
+    shift_strength: float | None = None  # None: tune by bisection; 0: no shift
     seed: int = 0
 
     def __post_init__(self):
@@ -76,8 +76,8 @@ class DatasetSpec:
             raise ConfigError("samples per class and views must be >= 1")
         if self.latent_dim < 4 or self.feature_dim < 1:
             raise ConfigError(f"need latent_dim >= 4 and feature_dim >= 1, got {self.latent_dim}, {self.feature_dim}")
-        if self.points_per_cloud < 8:
-            raise ConfigError(f"points per cloud must be >= 8, got {self.points_per_cloud}")
+        if self.points_per_cloud < MIN_CLOUD_POINTS:
+            raise ConfigError(f"points per cloud must be >= {MIN_CLOUD_POINTS}, got {self.points_per_cloud}")
         if not 0.0 <= self.split_ratio <= 1.0:
             raise ConfigError(f"split ratio must be in [0, 1], got {self.split_ratio}")
         if self.shift_strength is not None and not 0.0 <= self.shift_strength <= 1.0:
@@ -143,18 +143,17 @@ class TripletSet:
 def batched_contrastive_accuracy(image_feats, text_feats) -> float:
     """Mean image-to-text matching accuracy over fixed consecutive batches.
 
-    ``image_feats`` is (n, d) or (n, m, d); every view contributes its own
-    batches of ``ACCURACY_BATCH``. A trailing partial batch is dropped; fewer
-    than ``ACCURACY_BATCH`` samples form one batch. All batches are scored in
-    one stacked call, view-major as the batch means are averaged.
+    ``image_feats`` is (n, m, d) and ``text_feats`` (n, d); every view
+    contributes its own batches of ``ACCURACY_BATCH``. A trailing partial
+    batch is dropped; fewer than ``ACCURACY_BATCH`` samples form one batch.
+    All batches are scored in one stacked call, view-major as the batch means
+    are averaged.
     """
     imgs = np.asarray(image_feats, dtype=np.float64)
     txts = np.asarray(text_feats, dtype=np.float64)
-    if imgs.ndim == 2:
-        imgs = imgs[:, None, :]
+    if imgs.ndim != 3 or txts.ndim != 2 or txts.shape[0] != imgs.shape[0]:
+        raise ShapeError(f"text features {txts.shape} do not pair with (n, m, d) image features {imgs.shape}")
     n, m, d = imgs.shape
-    if txts.ndim != 2 or txts.shape[0] != n:
-        raise ShapeError(f"text features {txts.shape} do not pair with image features {imgs.shape}")
     size = min(ACCURACY_BATCH, n)
     k = n // size
     used = k * size
@@ -254,14 +253,11 @@ def generate(spec: DatasetSpec) -> TripletSet:
     text_feats = frozen_text_embed(latents * sem, enc)
     unshifted = np.stack([frozen_image_embed(latents * vis, k, enc) for k in range(m)], axis=1)
 
-    if spec.shift_enabled:
-        if spec.shift_strength is None:
-            held = np.flatnonzero(labels >= spec.seen_classes)
-            strength = _tune_shift(enc, unshifted[held], text_feats[held])
-        else:
-            strength = spec.shift_strength
+    if spec.shift_strength is None:
+        held = np.flatnonzero(labels >= spec.seen_classes)
+        strength = _tune_shift(enc, unshifted[held], text_feats[held])
     else:
-        strength = 0.0
+        strength = spec.shift_strength
     # renormalizing at s = 0 would move bits, so an unshifted set stores its views as they are
     image_feats = _shifted_views(enc, unshifted, strength) if strength > 0.0 else unshifted
 
@@ -283,7 +279,8 @@ def write_triplets(tset: TripletSet, path) -> None:
     """Fixed header, then f32 points / image / text and u32 labels."""
     if tset.spec.shift_strength is None:
         raise ConfigError("cannot store an untuned shift strength")
-    header = struct.pack(_HEADER_FMT, *(getattr(tset.spec, name) for name in _HEADER_FIELDS))
+    values = {**vars(tset.spec), _SHIFTED: int(tset.spec.shift_strength > 0.0)}
+    header = struct.pack(_HEADER_FMT, *(values[name] for name in _HEADER_FIELDS))
     arrays = ((tset.points, "<f4"), (tset.image_feats, "<f4"), (tset.text_feats, "<f4"), (tset.labels, "<u4"))
     write_framed(path, MAGIC, VERSION, [header, *(np.ascontiguousarray(a, dtype=t) for a, t in arrays)])
 
@@ -294,8 +291,9 @@ def read_triplets(path) -> TripletSet:
     reader = FramedReader(path, MAGIC, VERSION, "dataset")
     header_at = reader.offset
     header = dict(zip(_HEADER_FIELDS, reader.unpack(_HEADER_FMT, "header")))
+    del header[_SHIFTED]
     try:
-        spec = DatasetSpec(**{**header, "shift_enabled": bool(header["shift_enabled"])})
+        spec = DatasetSpec(**header)
     except ConfigError as exc:
         raise FormatError(f"dataset header at byte {header_at}: {exc}") from None
     n, views, d = spec.n_samples, spec.views, spec.feature_dim

@@ -204,7 +204,7 @@ def _lane_count(n_groups: int) -> int:
     """Threads for the encoder's groups: the CPUs of this process's affinity
     mask over BLAS's thread count, at most one per group; one lane when the
     BLAS thread count is unset, since BLAS then keeps every CPU busy."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         # OpenBLAS takes the first of these that C's atoi reads as positive
         found = re.match(r"\s*[+-]?\d+", os.environ.get(var, ""))
         if found and int(found.group()) > 0:
@@ -255,7 +255,7 @@ def _in_lanes(n_tasks: int, lanes: int, run) -> None:
 
 
 def encode_points(clouds, params: PointEncoderParams) -> GradPair:
-    """Unit-norm feature of one (N,3) cloud or a (B,N,3) batch.
+    """Unit-norm features of a (B,N,3) batch of clouds.
 
     Per-point MLP 3 -> h -> h with relu, pooled by concatenated mean and max
     over points, projected 2h -> d, then row-normalized. Exactly permutation
@@ -270,10 +270,10 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     Groups run forward and backward on parallel lanes, one per CPU that BLAS
     leaves idle: the CPUs of the process's affinity mask divided by BLAS's
     thread count, read as OpenBLAS reads it (``OPENBLAS_NUM_THREADS``, then
-    ``OMP_NUM_THREADS``), at most one lane per group. With neither variable
-    set, BLAS already uses every CPU and the groups run on the calling thread
-    alone. So on a machine with c CPUs, ``OPENBLAS_NUM_THREADS=1`` gives c
-    lanes. Backward is two passes over the same lanes: the first recomputes
+    ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``), at most one lane per
+    group. With none of them set, BLAS already uses every CPU and the groups
+    run on the calling thread alone. So on a machine with c CPUs,
+    ``OPENBLAS_NUM_THREADS=1`` gives c lanes. Backward is two passes over the same lanes: the first recomputes
     each group's layers and builds its rows of the layer-2 gradient; in the
     second, task 0 is the whole-batch ``w2`` gradient product, one unsplit
     call, taken first from the lanes' shared counter, while the other lanes
@@ -288,11 +288,8 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     that has one, at every lane count.
     """
     arr, x_max = nk._checked(clouds, "point cloud")
-    squeezed = arr.ndim == 2
-    if squeezed:
-        arr = arr[None]
     if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ShapeError(f"point clouds must be (N,3) or (B,N,3), got {arr.shape}")
+        raise ShapeError(f"point clouds must be (B,N,3), got {arr.shape}")
     n_b, n_pts, _ = arr.shape
     if n_pts < MIN_CLOUD_POINTS:
         raise ShapeError(f"point clouds need at least {MIN_CLOUD_POINTS} points, got {n_pts}")
@@ -345,13 +342,9 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
 
     _in_lanes(len(groups), lanes, forward_group)
     out = nk.l2_normalize(pooled @ head)
-    value = out.value[0] if squeezed else out.value
 
     def backward(g):
-        gm = np.asarray(g, dtype=np.float64)
-        if squeezed:
-            gm = gm[None, :]
-        (gp,) = out.backward(gm)
+        (gp,) = out.backward(np.asarray(g, dtype=np.float64))
         g_pool = gp @ head.T
         g_head = pooled.T @ gp
         # d feats = g_mean / n_pts everywhere + g_max at the first argmax;
@@ -394,4 +387,4 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
         _in_lanes(len(groups) + 1, lanes, g_w2_or_g_lin1_group)
         return flat.T @ g_lin1, g_w2, g_head
 
-    return GradPair(value, backward)
+    return GradPair(out.value, backward)

@@ -3,8 +3,7 @@ the stage-1, stage-2 and joint training steps.
 
 Each case builds a fixed seeded instance, reduces array outputs to a scalar
 through a frozen projection, and compares the hand-derived gradients against
-central differences. ``corrupt`` deliberately mis-scales one case's first
-gradient so the negative path is testable.
+central differences.
 """
 
 from __future__ import annotations
@@ -130,9 +129,9 @@ def _case_trimodal():
 def _case_point_encoder():
     rng = np.random.default_rng(22)
     pe = init_point_encoder(6, 5, 220)
-    cloud = rng.normal(size=(12, 3))
-    w = rng.normal(size=5)
-    return _projected(lambda p: encode_points(cloud, PointEncoderParams(*p)), w), [pe.w1, pe.w2, pe.head]
+    clouds = rng.normal(size=(12, 3))[None]
+    w = rng.normal(size=5)[None]
+    return _projected(lambda p: encode_points(clouds, PointEncoderParams(*p)), w), [pe.w1, pe.w2, pe.head]
 
 
 def _step_case(build, names, term):
@@ -186,20 +185,9 @@ CASES: dict[str, Callable] = {
 }
 
 
-def run_gradcheck(corrupt: str | None = None) -> list[GradcheckResult]:
-    """Run every case; ``corrupt`` mis-scales one case's first analytic gradient."""
-    results = []
-    for name, builder in CASES.items():
-        f, params = builder()
-        if corrupt == name:
-            inner = f
-
-            def f(p, _inner=inner):
-                value, grads = _inner(p)
-                return value, [grads[0] * 1.001, *grads[1:]]
-
-        results.append(GradcheckResult(name, nk.finite_diff_check(f, params)))
-    return results
+def run_gradcheck() -> list[GradcheckResult]:
+    """Run every case in ``CASES``."""
+    return [GradcheckResult(name, nk.finite_diff_check(*builder())) for name, builder in CASES.items()]
 
 
 def all_pass(results: list[GradcheckResult]) -> bool:

@@ -8,6 +8,7 @@ so the value is bit-identical under argument swap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -18,15 +19,18 @@ from .errors import ConfigError, ShapeError
 from .numkit import GradPair
 
 
+TAU_MIN = 0.01  # CLIP's floor on its temperature: logits scaled by at most 100
+
+
 @dataclass(frozen=True)
 class LossConfig:
-    """Temperature dividing similarities before the softmax."""
+    """Temperature dividing similarities before the softmax; the default is CLIP's initial value."""
 
     tau: float = 0.07
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not TAU_MIN <= self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and >= {TAU_MIN}, got {self.tau}")
 
 
 def _aligned_pair(fa, fb, rank: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -105,13 +109,10 @@ def trimodal_loss(f_sp, f_text, f_vp, views: Sequence, cfg: LossConfig) -> Trimo
 def contrastive_accuracy(fa, fb) -> float:
     """Fraction of FA rows whose matched FB row is strictly the nearest FB row (ties fail).
 
-    ``fa`` and ``fb`` are one aligned (n, d) batch pair, or a (k, n, d) stack
-    of them; a stack scores the mean of its k per-batch fractions.
+    ``fa`` and ``fb`` are aligned (k, n, d) stacks of k batch pairs; the
+    score is the mean of the k per-batch fractions.
     """
-    stacked = np.ndim(fa) == 3
-    a, b = _aligned_pair(fa, fb, 3 if stacked else 2)
-    if not stacked:
-        a, b = a[None], b[None]
+    a, b = _aligned_pair(fa, fb, 3)
     n = a.shape[1]
     if n < 2:
         raise ConfigError("contrastive_accuracy needs at least two pairs")

@@ -53,6 +53,8 @@ class TrainConfig:
             raise ConfigError(f"need 0 <= warmup_epochs < total_epochs, got {self.warmup_epochs}/{self.total_epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        LossConfig(self.tau)  # the rules of tau and alpha, checked here before any artifact is read
+        CiaConfig(self.alpha)
 
 
 @dataclass
@@ -120,7 +122,6 @@ class Checkpoint(NamedTuple):
     blocks: dict[str, np.ndarray]
     optim: OptimState
     config: TrainConfig
-    step: int
     meta: dict[str, str]
 
 
@@ -136,15 +137,16 @@ def _resume_state(resume: Checkpoint | None, params: dict, cfg: TrainConfig, sta
     if resume.meta.get("trained_stage") != stage:
         raise IncompatibilityError(f"resume checkpoint is for stage {resume.meta.get('trained_stage')!r}, not {stage!r}")
     # every checkpoint tamm writes sits on an epoch boundary
-    if not (0 <= resume.step <= spe * cfg.total_epochs and resume.step % spe == 0):
-        raise IncompatibilityError(f"resume step {resume.step} is not an epoch boundary ({spe} steps per epoch)")
+    step = resume.optim.step
+    if not (0 <= step <= spe * cfg.total_epochs and step % spe == 0):
+        raise IncompatibilityError(f"resume step {step} is not an epoch boundary ({spe} steps per epoch)")
     for name, p in params.items():
         for prefix, store in (("", resume.blocks), ("optim.m:", resume.optim.m), ("optim.v:", resume.optim.v)):
             shape = getattr(store.get(name), "shape", None)
             if shape != p.shape:
                 raise ShapeError(f"checkpoint block {prefix}{name!r} has shape {shape}, expected {p.shape}")
     restored = {name: resume.blocks[name].copy() for name in params}
-    return restored, resume.optim, resume.step
+    return restored, resume.optim, step
 
 
 def _fit(
@@ -449,7 +451,7 @@ def load_checkpoint(path) -> Checkpoint:
         cfg = config_from_meta(meta)
     except ValueError as exc:  # ConfigError included
         raise FormatError(f"checkpoint meta block at byte {meta_at}: {exc}") from None
-    return Checkpoint(blocks, OptimState(m, v, step), cfg, step, meta)
+    return Checkpoint(blocks, OptimState(m, v, step), cfg, meta)
 
 
 def model_blocks(

@@ -141,10 +141,9 @@ def test_checkpoint_meta_and_first_block_mutations_exit_0_to_4(tiny, tmp_path, c
     assert run_all(mutants(blob, dims_end, seed=2), tmp_path, argvs) == {}
 
 
-def test_config_text_mutations_raise_only_config_error(tmp_path, monkeypatch):
-    monkeypatch.delenv("TAMM_SEED", raising=False)
+def test_config_text_mutations_raise_only_config_error(tmp_path):
     text = (
-        b"classes=5  # comment\nshift_enabled=yes\nshift_strength=auto\nsplit_ratio=0.7\n"
+        b"classes=5  # comment\ntau=0.07\nshift_strength=auto\nsplit_ratio=0.7\n"
         b"betas=0.9,0.999\nbase_lr=0.0005\nbatch_size=8\nseed=3\n"
     )
     path = tmp_path / "run.cfg"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from tamm.datagen import (
     read_triplets,
     write_triplets,
 )
-from tamm.errors import ConfigError, FormatError
+from tamm.errors import ConfigError, FormatError, ShapeError
 from tamm.losses import contrastive_accuracy
 
 SMALL = dict(classes=6, samples_per_class=20, heldout_classes=2, views=2, points_per_cloud=32)
@@ -28,7 +30,7 @@ def tuned_set():
 
 @pytest.fixture(scope="module")
 def clean_set():
-    return generate(DatasetSpec(seed=0, shift_enabled=False, **SMALL))
+    return generate(DatasetSpec(seed=0, shift_strength=0.0, **SMALL))
 
 
 class TestSpec:
@@ -112,35 +114,32 @@ class TestGenerate:
 
 
 def _reference_batched_accuracy(image_feats, text_feats) -> float:
-    """The per-batch loop the stacked accuracy replaced: one 2-D call per batch."""
+    """The per-batch loop the stacked accuracy replaced: one call per batch."""
     imgs = np.asarray(image_feats, dtype=np.float64)
     txts = np.asarray(text_feats, dtype=np.float64)
-    if imgs.ndim == 2:
-        imgs = imgs[:, None, :]
     n = imgs.shape[0]
     size = min(ACCURACY_BATCH, n)
     accs = []
     for k in range(imgs.shape[1]):
         for start in range(0, n - size + 1, size):
             rows = slice(start, start + size)
-            accs.append(contrastive_accuracy(imgs[rows, k], txts[rows]))
+            accs.append(contrastive_accuracy(imgs[None, rows, k], txts[None, rows]))
     return float(np.mean(accs))
 
 
 def _noisy_pairs(seed, n, m, d, noise):
-    """Text rows and image rows near them: (n, m, d) images, or (n, d) for m=None."""
+    """Text rows and (n, m, d) image rows near them."""
     rng = np.random.default_rng(seed)
     txts = nk.l2_normalize(rng.normal(size=(n, d))).value
-    imgs = txts[:, None, :] + noise * rng.normal(size=(n, m or 1, d))
-    return (imgs if m else imgs[:, 0]), txts
+    return txts[:, None, :] + noise * rng.normal(size=(n, m, d)), txts
 
 
 class TestBatchedAccuracy:
     @pytest.mark.parametrize(
         "n, m",
         [
-            (5 * ACCURACY_BATCH, None),  # (n, d) input
-            (3 * ACCURACY_BATCH, 4),  # (n, m, d) input
+            (5 * ACCURACY_BATCH, 1),  # one view
+            (3 * ACCURACY_BATCH, 4),
             (37, 3),  # fewer than one batch: one batch of n
             (4 * ACCURACY_BATCH + 29, 2),  # trailing partial batch dropped
         ],
@@ -155,6 +154,12 @@ class TestBatchedAccuracy:
         padded_imgs = np.concatenate([imgs, -imgs[:10]])
         padded_txts = np.concatenate([txts, txts[:10]])
         assert batched_contrastive_accuracy(padded_imgs, padded_txts) == batched_contrastive_accuracy(imgs, txts)
+
+    def test_images_must_have_a_view_axis(self):
+        imgs, txts = _noisy_pairs(4, ACCURACY_BATCH, 1, 16, 0.1)
+        for bad_imgs, bad_txts in ((imgs[:, 0], txts), (imgs, txts[:-1]), (imgs, txts[:, None])):
+            with pytest.raises(ShapeError):
+                batched_contrastive_accuracy(bad_imgs, bad_txts)
 
     def test_all_equal_rows_tie_and_fail(self):
         imgs = np.ones((3 * ACCURACY_BATCH, 2, 4))
@@ -184,6 +189,18 @@ class TestFileFormat:
         write_triplets(tuned_set, p1)
         write_triplets(read_triplets(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_shift_slot_is_written_but_not_read(self, tmp_path, tuned_set, clean_set):
+        # the header's u32 slot between split_ratio and shift_strength, after magic and version
+        at = 8 + struct.calcsize("<7IQd")
+        path = tmp_path / "t.bin"
+        for tset, flag in ((tuned_set, 1), (clean_set, 0)):
+            write_triplets(tset, path)
+            blob = bytearray(path.read_bytes())
+            assert int.from_bytes(blob[at : at + 4], "little") == flag
+            blob[at : at + 4] = (7).to_bytes(4, "little")
+            path.write_bytes(bytes(blob))
+            assert read_triplets(path).spec == tset.spec
 
     def test_truncated_file(self, tmp_path, tuned_set):
         path = tmp_path / "t.bin"

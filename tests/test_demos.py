@@ -1,4 +1,4 @@
-"""The fast demos run to completion against the current API."""
+"""The demos that finish within seconds run to completion against the current API."""
 
 import os
 import subprocess
@@ -10,7 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_gradient_checks.py", "02_synthetic_dataset.py"])
+@pytest.mark.parametrize(
+    "demo",
+    ["01_gradient_checks.py", "02_synthetic_dataset.py", "03_two_stage_pretraining.py", "04_downstream_protocols.py"],
+)
 def test_demo_runs(demo, tmp_path):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -100,17 +100,17 @@ class TestPointEncoder:
     def test_permutation_invariance_bit_exact(self):
         rng = np.random.default_rng(10)
         params = init_point_encoder(16, 8, 0)
-        cloud = rng.normal(size=(40, 3))
+        cloud = rng.normal(size=(1, 40, 3))
         base = encode_points(cloud, params).value
         for seed in range(100):
             perm = np.random.default_rng(seed).permutation(40)
-            np.testing.assert_array_equal(encode_points(cloud[perm], params).value, base)
+            np.testing.assert_array_equal(encode_points(cloud[:, perm], params).value, base)
 
     def test_duplication_invariance_bit_exact(self):
         rng = np.random.default_rng(11)
         params = init_point_encoder(16, 8, 1)
-        cloud = rng.normal(size=(33, 3))
-        doubled = np.concatenate([cloud, cloud], axis=0)
+        cloud = rng.normal(size=(1, 33, 3))
+        doubled = np.concatenate([cloud, cloud], axis=1)
         np.testing.assert_array_equal(encode_points(doubled, params).value, encode_points(cloud, params).value)
 
     def test_unit_norm_output(self):
@@ -122,8 +122,8 @@ class TestPointEncoder:
     def test_gradients(self):
         rng = np.random.default_rng(13)
         params = init_point_encoder(6, 5, 3)
-        cloud = rng.normal(size=(12, 3))
-        w = rng.normal(size=5)
+        cloud = rng.normal(size=(1, 12, 3))
+        w = rng.normal(size=(1, 5))
 
         def f(p):
             out = encode_points(cloud, PointEncoderParams(p[0], p[1], p[2]))
@@ -134,7 +134,7 @@ class TestPointEncoder:
 
     def test_degenerate_cloud_allowed(self):
         params = init_point_encoder(8, 4, 4)
-        cloud = np.tile(np.array([0.5, -0.25, 1.0]), (10, 1))
+        cloud = np.tile(np.array([0.5, -0.25, 1.0]), (1, 10, 1))
         feat = encode_points(cloud, params).value
         assert np.all(np.isfinite(feat))
 
@@ -145,12 +145,18 @@ class TestPointEncoder:
         clouds = rng.normal(size=(3, 15, 3))
         batch = encode_points(clouds, params).value
         for i in range(3):
-            np.testing.assert_allclose(batch[i], encode_points(clouds[i], params).value, atol=1e-12)
+            np.testing.assert_allclose(batch[i], encode_points(clouds[i : i + 1], params).value[0], atol=1e-12)
 
     def test_minimum_points(self):
         params = init_point_encoder(8, 4, 6)
         with pytest.raises(ShapeError):
-            encode_points(np.zeros((4, 3)), params)
+            encode_points(np.zeros((1, 4, 3)), params)
+
+    def test_input_must_be_a_batch(self):
+        params = init_point_encoder(8, 4, 6)
+        for shape in ((16, 3), (2, 2, 16, 3), (2, 16, 2)):
+            with pytest.raises(ShapeError, match=r"\(B,N,3\)"):
+                encode_points(np.zeros(shape), params)
 
     def test_init_deterministic(self):
         a = init_point_encoder(8, 4, 7)
@@ -164,9 +170,6 @@ def _reference_encode(clouds, params):
     and relus, a per-cloud lexsort, the tree sum over the moved point axis, and
     the max-pool gradient through ``put_along_axis``."""
     arr = nk.as_f64(clouds, "point cloud")
-    squeezed = arr.ndim == 2
-    if squeezed:
-        arr = arr[None]
     n_b, n_pts, _ = arr.shape
     ordered = np.empty_like(arr)
     for i in range(n_b):
@@ -191,10 +194,7 @@ def _reference_encode(clouds, params):
     out = nk.l2_normalize(proj.value)
 
     def backward(g):
-        gm = np.asarray(g, dtype=np.float64)
-        if squeezed:
-            gm = gm[None, :]
-        (gp,) = out.backward(gm)
+        (gp,) = out.backward(np.asarray(g, dtype=np.float64))
         g_pool, g_head = proj.backward(gp)
         g_feats = np.zeros_like(feats)
         np.put_along_axis(g_feats, amax[:, None, :], g_pool[:, None, h:], axis=1)
@@ -205,11 +205,11 @@ def _reference_encode(clouds, params):
         _, g_w1 = lin1.backward(g_lin1)
         return g_w1, g_w2, g_head
 
-    return nk.GradPair(out.value[0] if squeezed else out.value, backward)
+    return nk.GradPair(out.value, backward)
 
 
 def _datagen_batch():
-    spec = DatasetSpec(seed=0, classes=4, samples_per_class=32, heldout_classes=1, views=1, shift_enabled=False)
+    spec = DatasetSpec(seed=0, classes=4, samples_per_class=32, heldout_classes=1, views=1, shift_strength=0.0)
     return generate(spec).points[:128]
 
 
@@ -224,7 +224,7 @@ def _duplicate_points():
 
 
 FUSED_CASES = {
-    "squeezed": (_normal(40, 3), 16, 8),
+    "one-cloud-even-points": (_normal(1, 40, 3), 16, 8),
     "batch-of-one": (_normal(1, 33, 3), 16, 8),
     "odd-points": (_normal(4, 37, 3), 12, 5),
     "minimum-points": (_normal(3, MIN_CLOUD_POINTS, 3), 7, 4),
@@ -252,12 +252,12 @@ class TestFusedEncoderMatchesReference:
 
 def _overflow_case(case):
     h = 4
-    cloud = np.abs(np.random.default_rng(22).normal(size=(64, 3))) + 0.5
+    cloud = np.abs(np.random.default_rng(22).normal(size=(1, 64, 3))) + 0.5
     w1, w2, head = np.full((3, h), 0.5), np.full((h, h), 0.5), np.full((2 * h, 3), 0.25)
     if case == "nan-point":
-        cloud[3, 1] = np.nan
+        cloud[0, 3, 1] = np.nan
     elif case == "inf-point":
-        cloud[7, 2] = -np.inf
+        cloud[0, 7, 2] = -np.inf
     elif case == "nan-w1":
         w1[1, 2] = np.nan
     elif case == "inf-w2":
@@ -274,7 +274,7 @@ def _overflow_case(case):
     elif case == "hidden-to-minus-inf-in-last-group":
         # cloud GROUP alone overflows, so only the scan of the last group,
         # which holds just that cloud, sees its -inf
-        cloud = np.stack([cloud] * (GROUP + 1))
+        cloud = np.concatenate([cloud] * (GROUP + 1))
         cloud[GROUP] *= 1e160
         w1[:, 0] = -1e160
     elif case == "pooled-sum-to-inf":
@@ -318,6 +318,7 @@ def lanes(monkeypatch):
     sys.setswitchinterval(1e-6)
     monkeypatch.setattr(_CountingThread, "started", 0)
     monkeypatch.setattr(encoders.threading, "Thread", _CountingThread)
+    monkeypatch.delenv("GOTO_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
 
     def use(cpus, blas="1"):
@@ -357,7 +358,7 @@ class TestLanes:
         for want, have in zip([ref.value, *ref.backward(g)], [got.value, *got.backward(g)]):
             np.testing.assert_array_equal(have, want)
             np.testing.assert_array_equal(np.signbit(have), np.signbit(want))
-        n_groups = -(-len(clouds) // GROUP) if np.ndim(clouds) == 3 else 1
+        n_groups = -(-len(clouds) // GROUP)
         assert _CountingThread.started == 3 * (min(n_lanes, n_groups) - 1)
 
     @pytest.mark.parametrize("n_lanes", [1, 2, 3])
@@ -411,6 +412,8 @@ class TestLanes:
             ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, 16, 2),
             ({"OPENBLAS_NUM_THREADS": " 2threads"}, 4, 16, 2),
             ({"OPENBLAS_NUM_THREADS": "-1"}, 4, 16, 1),
+            ({"GOTO_NUM_THREADS": "1"}, 2, 16, 2),
+            ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 16, 1),
         ],
     )
     def test_lane_rule(self, env, cpus, groups, want, lanes, monkeypatch):

@@ -250,7 +250,7 @@ class TestRetrieve:
 class TestDualFeatures:
     def test_empty_indices_give_empty_features(self):
         spec = DatasetSpec(seed=0, classes=4, samples_per_class=8, heldout_classes=1, views=1,
-                           points_per_cloud=16, shift_enabled=False)
+                           points_per_cloud=16, shift_strength=0.0)
         data = generate(spec)
         d = spec.feature_dim
         encoder = init_point_encoder(8, d, 0)

@@ -31,7 +31,8 @@ def test_fresh_build_passes():
 
 
 @pytest.mark.parametrize("case", ["dual_forward", "joint_step"])
-def test_corrupted_backward_named(case):
-    results = run_gradcheck(corrupt=case)
+def test_corrupted_backward_named(case, mis_scale):
+    mis_scale(case)
+    results = run_gradcheck()
     failed = [r.name for r in results if r.max_rel_error >= TOLERANCE]
     assert failed == [case]

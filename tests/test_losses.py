@@ -119,10 +119,10 @@ class TestContrastiveLoss:
             assert np.array_equal(got, two_sided_d_fa(fa, fb, tau, g))
 
     def test_tau_validation(self):
-        with pytest.raises(ConfigError):
-            LossConfig(tau=0.0)
-        with pytest.raises(ConfigError):
-            LossConfig(tau=-1.0)
+        for tau in (0.0, -1.0, 1e-300, 0.0099, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="tau"):
+                LossConfig(tau=tau)
+        assert LossConfig(tau=0.01).tau == 0.01
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -205,12 +205,12 @@ class TestTrimodalLoss:
 class TestContrastiveAccuracy:
     def test_identical_batches(self):
         rng = np.random.default_rng(13)
-        f = unit_rows(rng, 8, 6)
+        f = unit_rows(rng, 8, 6)[None]
         assert contrastive_accuracy(f, f) == 1.0
 
     def test_cyclic_shift_orthonormal(self):
-        f = np.eye(5)
-        assert contrastive_accuracy(f, np.roll(f, 1, axis=0)) == 0.0
+        f = np.eye(5)[None]
+        assert contrastive_accuracy(f, np.roll(f, 1, axis=1)) == 0.0
 
     def test_random_pairs_monte_carlo(self):
         # matched pairs are independent random unit vectors: expect 1/n wins
@@ -218,32 +218,33 @@ class TestContrastiveAccuracy:
         for seed in range(1000):
             rng = np.random.default_rng(seed)
             fa, fb = unit_rows(rng, 16, 24), unit_rows(rng, 16, 24)
-            hits.append(contrastive_accuracy(fa, fb))
+            hits.append(contrastive_accuracy(fa[None], fb[None]))
         assert abs(float(np.mean(hits)) - 1.0 / 16.0) < 0.01
 
     def test_ties_count_as_failure(self):
-        f = np.array([[1.0, 0.0], [1.0, 0.0]])
+        f = np.array([[[1.0, 0.0], [1.0, 0.0]]])
         assert contrastive_accuracy(f, f) == 0.0
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(14)
-        fa, fb = unit_rows(rng, 6, 5), unit_rows(rng, 6, 5)
+        fa, fb = unit_rows(rng, 6, 5)[None], unit_rows(rng, 6, 5)[None]
         assert contrastive_accuracy(fa, fb) == contrastive_accuracy(fa * 7.5, fb)
 
     def test_needs_two_pairs(self):
-        with pytest.raises(ConfigError):
-            contrastive_accuracy(np.ones((1, 3)), np.ones((1, 3)))
-        with pytest.raises(ConfigError):
-            contrastive_accuracy(np.ones((4, 1, 3)), np.ones((4, 1, 3)))
+        for k in (1, 4):
+            with pytest.raises(ConfigError):
+                contrastive_accuracy(np.ones((k, 1, 3)), np.ones((k, 1, 3)))
 
     def test_stack_is_mean_of_batch_fractions(self):
         rng = np.random.default_rng(16)
         fa, fb = unit_rows(rng, 5 * 12, 4).reshape(5, 12, 4), unit_rows(rng, 5 * 12, 4).reshape(5, 12, 4)
-        per_batch = [contrastive_accuracy(fa[i], fb[i]) for i in range(5)]
+        per_batch = [contrastive_accuracy(fa[i : i + 1], fb[i : i + 1]) for i in range(5)]
         assert contrastive_accuracy(fa, fb) == float(np.mean(per_batch))
         assert contrastive_accuracy(fa[:1], fb[:1]) == per_batch[0]
 
     def test_stack_errors(self):
+        with pytest.raises(ShapeError):  # one batch pair must be a stack of one
+            contrastive_accuracy(np.ones((4, 2)), np.ones((4, 2)))
         with pytest.raises(ShapeError):
             contrastive_accuracy(np.ones((3, 4, 2)), np.ones((2, 4, 2)))
         with pytest.raises(ShapeError):
@@ -261,4 +262,4 @@ class TestContrastiveAccuracy:
         fa, fb = unit_rows(rng, 10, 4), unit_rows(rng, 10, 4)
         scores = fa @ fb.T
         expected = np.mean([scores[i, i] > np.delete(scores[i], i).max() for i in range(10)])
-        assert contrastive_accuracy(fa, fb) == expected
+        assert contrastive_accuracy(fa[None], fb[None]) == expected

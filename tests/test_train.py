@@ -135,7 +135,8 @@ class TestTrainConfig:
         "kwargs",
         [dict(base_lr=0.0), dict(warmup_epochs=5, total_epochs=5), dict(batch_size=1), dict(base_lr=math.inf),
          dict(base_lr=math.nan), dict(betas=(1.0, 0.999)), dict(betas=(0.9, -0.1)), dict(betas=(0.9, math.nan)),
-         dict(weight_decay=-5.0), dict(weight_decay=math.inf)],
+         dict(weight_decay=-5.0), dict(weight_decay=math.inf), dict(tau=math.inf), dict(tau=1e-300),
+         dict(alpha=1.5)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -248,7 +249,7 @@ class TestCheckpoint:
         blocks = model_blocks(cia, pe2, iaa2, taa2)
         save_checkpoint(path, blocks, optim, cfg, optim.step, extra={"trained_stage": "stage2"})
         ck = load_checkpoint(path)
-        assert ck.step == optim.step
+        assert ck.optim.step == optim.step
         assert ck.config == cfg
         assert ck.meta["trained_stage"] == "stage2"
         for name, arr in blocks.items():
@@ -263,7 +264,7 @@ class TestCheckpoint:
         path = tmp_path / "fresh.ckpt"
         save_checkpoint(path, blocks, optim, TrainConfig(), 0, extra={"trained_stage": "stage2"})
         ck = load_checkpoint(path)
-        assert ck.step == 0
+        assert ck.optim.step == 0
         assert all(np.all(v == 0.0) for v in ck.optim.m.values())
 
     @pytest.mark.parametrize("stage", ["stage1", "stage2", "joint"])
