@@ -189,15 +189,29 @@ def _tree_sum(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return x[:, 0]
 
 
-def _relu_grad(act: np.ndarray, g: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    # np.where(act > 0, g, 0.0) into ``out`` (not aliasing ``g``), bit for bit,
-    # as an and with all-ones or all-zero words: no branch on the mask, built
-    # in ``mask``, a bool buffer of act's size
+def _masked(keep: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # np.where(keep, g, 0.0) into ``out`` (not aliasing ``g``), bit for bit,
+    # as an and with all-ones or all-zero words: no branch on the bool ``keep``
     bits = out.view(np.int64)
-    keep = np.greater(act, 0.0, out=mask.reshape(act.shape))
     np.negative(keep.view(np.int8), out=bits, dtype=np.int64)
     np.bitwise_and(bits, g.view(np.int64), out=bits)
     return out
+
+
+_held = threading.local()
+
+
+def _backward_arrays(shape: tuple) -> tuple:
+    """This thread's three float arrays of ``shape`` for the encoder backward,
+    kept from its last call and replaced when the shape changes. At the default
+    scale each is 32 MiB, past the largest size up to which glibc's malloc
+    raises its mmap threshold, so fresh arrays would be mapped and faulted in
+    page by page on every call."""
+    arrays = getattr(_held, "arrays", None)
+    if arrays is None or arrays[0].shape != shape:
+        _held.arrays = None  # drop the old ones before allocating
+        arrays = _held.arrays = tuple(np.empty(shape) for _ in range(3))
+    return arrays
 
 
 def _lane_count(n_groups: int) -> int:
@@ -254,18 +268,26 @@ def _in_lanes(n_tasks: int, lanes: int, run) -> None:
         raise failed[min(failed)]
 
 
-def encode_points(clouds, params: PointEncoderParams) -> GradPair:
+def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradPair:
     """Unit-norm features of a (B,N,3) batch of clouds.
 
     Per-point MLP 3 -> h -> h with relu, pooled by concatenated mean and max
     over points, projected 2h -> d, then row-normalized. Exactly permutation
-    invariant. backward(g) -> (d_w1, d_w2, d_head).
+    invariant. With ``want_grads``, backward(g) -> (d_w1, d_w2, d_head);
+    without, the forward keeps nothing for a backward and the result's
+    ``backward`` is None.
 
     The step runs over groups of ``GROUP`` clouds, so each group's hidden
-    layers stay in cache from their products through relu and pooling; no
-    array of size B*N*h outlives the forward, and backward recomputes each
-    group's layers bit for bit. Every product is row-blocked only, so the
-    result does not depend on the grouping.
+    layers stay in cache from their products through relu and pooling. Every
+    product is row-blocked only, so the result does not depend on the
+    grouping. With ``want_grads``, each group also keeps where its layer 2 is
+    positive, in its rows of one B*N*h bool mask, and each channel's first
+    argmax over points; backward recomputes only layer 1 (K = 3), bit for
+    bit, and builds the layer-2 gradient from the kept mask and argmax. The
+    kept state belongs to the call, so backward may run more than once and
+    forwards may interleave. Backward's three B*N*h float arrays are kept per
+    thread and reused while B*N*h stays the same: after a backward at the
+    default scale (B=128, N=256, h=128), a thread holds about 96 MiB.
 
     Groups run forward and backward on parallel lanes, one per CPU that BLAS
     leaves idle: the CPUs of the process's affinity mask divided by BLAS's
@@ -273,14 +295,14 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``), at most one lane per
     group. With none of them set, BLAS already uses every CPU and the groups
     run on the calling thread alone. So on a machine with c CPUs,
-    ``OPENBLAS_NUM_THREADS=1`` gives c lanes. Backward is two passes over the same lanes: the first recomputes
-    each group's layers and builds its rows of the layer-2 gradient; in the
-    second, task 0 is the whole-batch ``w2`` gradient product, one unsplit
-    call, taken first from the lanes' shared counter, while the other lanes
-    take the groups' layer-1 gradients. Each lane writes only its own groups'
-    rows, and the head, the normalization and the ``w1`` gradient product run
-    whole; no sum changes its order, so every output bit is the same at any
-    lane count.
+    ``OPENBLAS_NUM_THREADS=1`` gives c lanes. Backward is two passes over the
+    same lanes: the first recomputes each group's layer 1 and builds its rows
+    of the layer-2 gradient; in the second, task 0 is the whole-batch ``w2``
+    gradient product, one unsplit call, taken first from the lanes' shared
+    counter, while the other lanes take the groups' layer-1 gradients. Each
+    lane writes only its own groups' rows, and the head, the normalization
+    and the ``w1`` gradient product run whole; no sum changes its order, so
+    every output bit is the same at any lane count.
 
     Clouds, weights and the head output are checked finite; the hidden
     layers only when the checked maxima do not bound them far from overflow.
@@ -313,35 +335,41 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
     block = min(GROUP, n_b) * n_pts
     scratch = [(np.empty((block, h)), np.empty((block, h)), np.empty((block, h), bool)) for _ in range(lanes)]
 
-    def layers(lo, hi, act1, act2, check):
-        # relu'd hidden layers of clouds lo:hi, layer 1 into act1 and layer 2
-        # into act2, returned as (clouds, points, h)
-        x = flat[lo * n_pts : hi * n_pts]
-        np.matmul(x, w1, out=act1)
+    def layer1(lo, hi, act1, check):
+        # relu'd layer 1 of clouds lo:hi into act1
+        np.matmul(flat[lo * n_pts : hi * n_pts], w1, out=act1)
         if check:
             nk.as_f64(act1, "point encoder layer 1")
-        np.maximum(act1, 0.0, out=act1)
-        np.matmul(act1, w2, out=act2)
-        if check:
-            nk.as_f64(act2, "point encoder layer 2")
-        np.maximum(act2, 0.0, out=act2)
-        return act2.reshape(hi - lo, n_pts, h)
+        return np.maximum(act1, 0.0, out=act1)
 
     pooled = np.empty((n_b, 2 * h))
+    if want_grads:
+        relu2 = np.empty((n_b, n_pts, h), bool)
+        amax = np.empty((n_b, h), np.intp)
 
     def forward_group(lane, g):
         lo, hi = groups[g]
         m = (hi - lo) * n_pts
-        buf1, buf2, _ = scratch[lane]
+        buf1, buf2, mask = scratch[lane]
         for i in range(lo, hi):
             ordered[i] = arr[i][_canonical_order(arr[i])]
-        feats = layers(lo, hi, buf1[:m], buf2[:m], scan)
+        np.matmul(layer1(lo, hi, buf1[:m], scan), w2, out=buf2[:m])
+        if scan:
+            nk.as_f64(buf2[:m], "point encoder layer 2")
+        feats = np.maximum(buf2[:m], 0.0, out=buf2[:m]).reshape(hi - lo, n_pts, h)
         # the max first: the tree sum overwrites both buffers
         feats.max(axis=1, out=pooled[lo:hi, h:])
+        if want_grads:
+            np.greater(feats, 0.0, out=relu2[lo:hi])
+            # relu outputs hold no nan or -0.0, so this is argmax's first pick
+            peaks = np.equal(feats, pooled[lo:hi, None, h:], out=mask[:m].reshape(feats.shape))
+            peaks.argmax(axis=1, out=amax[lo:hi])
         np.divide(_tree_sum(feats, buf1), n_pts, out=pooled[lo:hi, :h])
 
     _in_lanes(len(groups), lanes, forward_group)
     out = nk.l2_normalize(pooled @ head)
+    if not want_grads:
+        return GradPair(out.value, None)
 
     def backward(g):
         (gp,) = out.backward(np.asarray(g, dtype=np.float64))
@@ -352,22 +380,16 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
         g_mean = g_pool[:, :h] / n_pts
         share = (g_mean + 0.0)[:, None, :]
         peak = np.where(pooled[:, h:] > 0.0, g_pool[:, h:] + g_mean, 0.0)
-        act1 = np.empty((n_b * n_pts, h))
-        g_lin2 = np.empty_like(act1)
-        g_lin1 = np.empty_like(act1)
+        act1, g_lin2, g_lin1 = _backward_arrays((n_b * n_pts, h))
         g_w2 = np.empty((h, h))
 
         def g_lin2_group(lane, g):
             lo, hi = groups[g]
             rows = slice(lo * n_pts, hi * n_pts)
-            m = (hi - lo) * n_pts
-            _, buf2, mask = scratch[lane]
-            # the recomputed layers equal the forward's bit for bit: no scan
-            feats = layers(lo, hi, act1[rows], buf2[:m], False)
-            g_feats = _relu_grad(feats, share[lo:hi], g_lin2[rows].reshape(feats.shape), mask[:m])
-            # relu outputs hold no nan or -0.0, so this is argmax's first pick
-            amax = np.equal(feats, pooled[lo:hi, None, h:], out=mask[:m].reshape(feats.shape)).argmax(axis=1)
-            g_feats[np.arange(hi - lo)[:, None], amax, np.arange(h)] = peak[lo:hi]
+            # the recomputed layer equals the forward's bit for bit: no scan
+            layer1(lo, hi, act1[rows], False)
+            g_feats = _masked(relu2[lo:hi], share[lo:hi], g_lin2[rows].reshape(hi - lo, n_pts, h))
+            g_feats[np.arange(hi - lo)[:, None], amax[lo:hi], np.arange(h)] = peak[lo:hi]
 
         def g_w2_or_g_lin1_group(lane, t):
             if t == 0:
@@ -381,7 +403,7 @@ def encode_points(clouds, params: PointEncoderParams) -> GradPair:
             m = (hi - lo) * n_pts
             buf1, _, mask = scratch[lane]
             g_act1 = np.matmul(g_lin2[rows], w2.T, out=buf1[:m])
-            _relu_grad(act1[rows], g_act1, g_lin1[rows], mask[:m])
+            _masked(np.greater(act1[rows], 0.0, out=mask[:m]), g_act1, g_lin1[rows])
 
         _in_lanes(len(groups), lanes, g_lin2_group)
         _in_lanes(len(groups) + 1, lanes, g_w2_or_g_lin1_group)

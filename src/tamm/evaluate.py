@@ -66,7 +66,7 @@ def dual_features(
     indices: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen forward pass: point features through both dual heads."""
-    f_p = encode_points(data.points[indices], encoder).value
+    f_p = encode_points(data.points[indices], encoder, False).value
     return dual_forward(f_p, iaa).value, dual_forward(f_p, taa).value
 
 

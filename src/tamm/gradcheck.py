@@ -131,7 +131,7 @@ def _case_point_encoder():
     pe = init_point_encoder(6, 5, 220)
     clouds = rng.normal(size=(12, 3))[None]
     w = rng.normal(size=5)[None]
-    return _projected(lambda p: encode_points(clouds, PointEncoderParams(*p)), w), [pe.w1, pe.w2, pe.head]
+    return _projected(lambda p: encode_points(clouds, PointEncoderParams(*p), True), w), [pe.w1, pe.w2, pe.head]
 
 
 def _step_case(build, names, term):

@@ -27,7 +27,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 class GradPair(NamedTuple):
     value: np.ndarray | float
-    backward: Callable[..., tuple]
+    backward: Callable[..., tuple] | None  # None from a forward that keeps nothing for one
 
 
 def _all_finite(arr: np.ndarray) -> bool:

@@ -227,7 +227,7 @@ def _trimodal_step(params, clouds, texts, views, loss_cfg: LossConfig, want_grad
     """Trimodal loss of the point encoder and dual heads against fixed image
     views, and its gradients for the ``pe``/``iaa``/``taa`` blocks."""
     _, pe, iaa, taa = blocks_to_model(params)
-    enc_out = encode_points(clouds, pe)
+    enc_out = encode_points(clouds, pe, want_grads)
     vp = dual_forward(enc_out.value, iaa)
     sp = dual_forward(enc_out.value, taa)
     tl = trimodal_loss(sp.value, texts, vp.value, views, loss_cfg)

@@ -2,6 +2,11 @@ import os
 import sys
 import threading
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 
@@ -101,22 +106,23 @@ class TestPointEncoder:
         rng = np.random.default_rng(10)
         params = init_point_encoder(16, 8, 0)
         cloud = rng.normal(size=(1, 40, 3))
-        base = encode_points(cloud, params).value
+        base = encode_points(cloud, params, False).value
         for seed in range(100):
             perm = np.random.default_rng(seed).permutation(40)
-            np.testing.assert_array_equal(encode_points(cloud[:, perm], params).value, base)
+            np.testing.assert_array_equal(encode_points(cloud[:, perm], params, False).value, base)
 
     def test_duplication_invariance_bit_exact(self):
         rng = np.random.default_rng(11)
         params = init_point_encoder(16, 8, 1)
         cloud = rng.normal(size=(1, 33, 3))
         doubled = np.concatenate([cloud, cloud], axis=1)
-        np.testing.assert_array_equal(encode_points(doubled, params).value, encode_points(cloud, params).value)
+        once, twice = encode_points(cloud, params, False), encode_points(doubled, params, False)
+        np.testing.assert_array_equal(twice.value, once.value)
 
     def test_unit_norm_output(self):
         rng = np.random.default_rng(12)
         params = init_point_encoder(16, 8, 2)
-        feats = encode_points(rng.normal(size=(6, 20, 3)), params).value
+        feats = encode_points(rng.normal(size=(6, 20, 3)), params, False).value
         np.testing.assert_allclose(np.linalg.norm(feats, axis=1), np.ones(6), atol=1e-12)
 
     def test_gradients(self):
@@ -126,7 +132,7 @@ class TestPointEncoder:
         w = rng.normal(size=(1, 5))
 
         def f(p):
-            out = encode_points(cloud, PointEncoderParams(p[0], p[1], p[2]))
+            out = encode_points(cloud, PointEncoderParams(p[0], p[1], p[2]), True)
             dw1, dw2, dh = out.backward(w)
             return float(np.sum(w * out.value)), [dw1, dw2, dh]
 
@@ -135,7 +141,7 @@ class TestPointEncoder:
     def test_degenerate_cloud_allowed(self):
         params = init_point_encoder(8, 4, 4)
         cloud = np.tile(np.array([0.5, -0.25, 1.0]), (1, 10, 1))
-        feat = encode_points(cloud, params).value
+        feat = encode_points(cloud, params, False).value
         assert np.all(np.isfinite(feat))
 
     def test_batch_matches_single(self):
@@ -143,26 +149,42 @@ class TestPointEncoder:
         rng = np.random.default_rng(14)
         params = init_point_encoder(8, 4, 5)
         clouds = rng.normal(size=(3, 15, 3))
-        batch = encode_points(clouds, params).value
+        batch = encode_points(clouds, params, False).value
         for i in range(3):
-            np.testing.assert_allclose(batch[i], encode_points(clouds[i : i + 1], params).value[0], atol=1e-12)
+            np.testing.assert_allclose(batch[i], encode_points(clouds[i : i + 1], params, False).value[0], atol=1e-12)
 
     def test_minimum_points(self):
         params = init_point_encoder(8, 4, 6)
         with pytest.raises(ShapeError):
-            encode_points(np.zeros((1, 4, 3)), params)
+            encode_points(np.zeros((1, 4, 3)), params, False)
 
     def test_input_must_be_a_batch(self):
         params = init_point_encoder(8, 4, 6)
         for shape in ((16, 3), (2, 2, 16, 3), (2, 16, 2)):
             with pytest.raises(ShapeError, match=r"\(B,N,3\)"):
-                encode_points(np.zeros(shape), params)
+                encode_points(np.zeros(shape), params, False)
 
     def test_init_deterministic(self):
         a = init_point_encoder(8, 4, 7)
         b = init_point_encoder(8, 4, 7)
         np.testing.assert_array_equal(a.w1, b.w1)
         np.testing.assert_array_equal(a.head, b.head)
+
+
+@pytest.mark.skipif(resource is None, reason="no resource.getrusage on this platform")
+def test_backward_reuses_its_arrays():
+    # at B=128, N=256, h=128 each of backward's three B*N*h float arrays is
+    # 32 MiB, which glibc's malloc maps afresh on every call (over 1,100
+    # minor page faults a backward) unless backward keeps them
+    rng = np.random.default_rng(25)
+    clouds, params = rng.normal(size=(128, 256, 3)), init_point_encoder(128, 64, 3)
+    g = rng.normal(size=(128, 64))
+    for _ in range(2):
+        encode_points(clouds, params, True).backward(g)
+    out = encode_points(clouds, params, True)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out.backward(g)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 400
 
 
 def _reference_encode(clouds, params):
@@ -243,7 +265,7 @@ class TestFusedEncoderMatchesReference:
         make, hidden, out_dim = FUSED_CASES[case]
         clouds = make()
         params = init_point_encoder(hidden, out_dim, 1)
-        ref, got = _reference_encode(clouds, params), encode_points(clouds, params)
+        ref, got = _reference_encode(clouds, params), encode_points(clouds, params, True)
         g = np.random.default_rng(21).normal(size=np.shape(ref.value))
         for want, have in zip([ref.value, *ref.backward(g)], [got.value, *got.backward(g)]):
             np.testing.assert_array_equal(have, want)
@@ -293,12 +315,13 @@ class TestNonFiniteContract:
     )
     def test_raises_numeric_error(self, case):
         cloud, params = _overflow_case(case)
-        with pytest.raises(NumericError):
-            encode_points(cloud, params)
+        for want_grads in (False, True):
+            with pytest.raises(NumericError):
+                encode_points(cloud, params, want_grads)
 
     def test_finite_case_encodes(self):
         cloud, params = _overflow_case("none")
-        assert np.all(np.isfinite(encode_points(cloud, params).value))
+        assert np.all(np.isfinite(encode_points(cloud, params, False).value))
 
 
 class _CountingThread(threading.Thread):
@@ -353,7 +376,7 @@ class TestLanes:
         params = init_point_encoder(hidden, out_dim, 1)
         ref = _reference_encode(clouds, params)
         lanes(n_lanes)
-        got = encode_points(clouds, params)
+        got = encode_points(clouds, params, True)
         g = np.random.default_rng(21).normal(size=np.shape(ref.value))
         for want, have in zip([ref.value, *ref.backward(g)], [got.value, *got.backward(g)]):
             np.testing.assert_array_equal(have, want)
@@ -361,12 +384,92 @@ class TestLanes:
         n_groups = -(-len(clouds) // GROUP)
         assert _CountingThread.started == 3 * (min(n_lanes, n_groups) - 1)
 
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3, 8])
+    def test_backward_twice_on_one_forward(self, n_lanes, lanes):
+        make, hidden, out_dim = FUSED_CASES["partial-last-group-odd-points"]
+        clouds, params = make(), init_point_encoder(hidden, out_dim, 1)
+        ref = _reference_encode(clouds, params)
+        lanes(n_lanes)
+        got = encode_points(clouds, params, True)
+        g1, g2 = (np.random.default_rng(seed).normal(size=np.shape(ref.value)) for seed in (21, 22))
+        first = got.backward(g1)
+        second = got.backward(g2)
+        for want, have in zip([*ref.backward(g1), *ref.backward(g2), *ref.backward(g1)],
+                              [*first, *second, *got.backward(g1)]):
+            np.testing.assert_array_equal(have, want)
+
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3, 8])
+    def test_interleaved_forwards(self, n_lanes, lanes):
+        # forwards A, B, C, then their backwards: B has another shape than A,
+        # so each backward meets arrays last shaped by another call, and C has
+        # A's shape with other clouds, so state kept by shape would mix them
+        cases = [FUSED_CASES[name] for name in ("partial-last-group-odd-points", "last-group-of-one")]
+        inputs = [(make(), init_point_encoder(hidden, out_dim, 1)) for make, hidden, out_dim in cases]
+        inputs.append((inputs[0][0][::-1].copy(), inputs[0][1]))
+        g = [np.random.default_rng(21).normal(size=(len(clouds), params.out_dim)) for clouds, params in inputs]
+        lanes(n_lanes)
+        fresh = []
+        for (clouds, params), gk in zip(inputs, g):
+            out = encode_points(clouds, params, True)
+            fresh.append([out.value, *out.backward(gk)])
+        outs = [encode_points(clouds, params, True) for clouds, params in inputs]
+        got = [[out.value, *out.backward(gk)] for out, gk in zip(outs, g)]
+        for want, have in zip(fresh, got):
+            for w, h in zip(want, have):
+                np.testing.assert_array_equal(h, w)
+
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3, 8])
+    def test_concurrent_callers_match_serial(self, n_lanes, lanes):
+        # both callers' backward arrays have the same shape, so arrays shared
+        # between threads would mix their rows
+        inputs = [
+            (np.random.default_rng(30 + k).normal(size=(2 * GROUP + 3, 20, 3)), init_point_encoder(9, 4, k))
+            for k in range(2)
+        ]
+        g = np.random.default_rng(32).normal(size=(2 * GROUP + 3, 4))
+        lanes(n_lanes)
+
+        def run(clouds, params):
+            out = encode_points(clouds, params, True)
+            return [out.value, *out.backward(g)]
+
+        serial = [run(*args) for args in inputs]
+        together = [[] for _ in inputs]
+        start = threading.Barrier(len(inputs), timeout=60)
+
+        def caller(k):
+            for _ in range(5):
+                start.wait()
+                together[k].append(run(*inputs[k]))
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for want, runs in zip(serial, together):
+            assert len(runs) == 5
+            for have in runs:
+                for w, h in zip(want, have):
+                    np.testing.assert_array_equal(h, w)
+
+    @pytest.mark.parametrize("n_lanes", [1, 2, 3, 8])
+    def test_forward_without_grads(self, n_lanes, lanes):
+        lanes(n_lanes)
+        for case, (make, hidden, out_dim) in FUSED_CASES.items():
+            clouds, params = make(), init_point_encoder(hidden, out_dim, 1)
+            plain, with_grads = encode_points(clouds, params, False), encode_points(clouds, params, True)
+            assert plain.backward is None, case
+            np.testing.assert_array_equal(plain.value, with_grads.value)
+            np.testing.assert_array_equal(np.signbit(plain.value), np.signbit(with_grads.value))
+
     @pytest.mark.parametrize("n_lanes", [1, 2, 3])
     def test_error_is_the_first_failing_groups(self, n_lanes, lanes):
         clouds, params = _two_layer_overflows()
         lanes(n_lanes)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="point encoder layer 2 "):
-            encode_points(clouds, params)
+            encode_points(clouds, params, True)
         assert _CountingThread.started == n_lanes - 1
 
     @pytest.mark.parametrize("n_lanes", [1, 2, 3])
@@ -374,7 +477,7 @@ class TestLanes:
         clouds, params = _two_layer_overflows()
         lanes(n_lanes)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            encode_points(clouds, params)
+            encode_points(clouds, params, True)
 
     @pytest.mark.parametrize("n_lanes", [1, 2, 3])
     def test_in_lanes_raises_the_lowest_failing_task(self, n_lanes, lanes):
@@ -393,7 +496,7 @@ class TestLanes:
     def test_no_thread_when_blas_threads_unset(self, lanes):
         lanes(64, blas=None)
         clouds = np.random.default_rng(24).normal(size=(4 * GROUP, 16, 3))
-        out = encode_points(clouds, init_point_encoder(8, 4, 2))
+        out = encode_points(clouds, init_point_encoder(8, 4, 2), True)
         out.backward(np.ones((4 * GROUP, 4)))
         assert _CountingThread.started == 0
 

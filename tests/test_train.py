@@ -418,12 +418,47 @@ joint a2160d21b3e74cd9bc3ac8e68c1370d15d199e96874154a22d30ce5a23f10702
 """
 
 
-def test_trained_hashes_independent_of_blas_threads():
+def _stdout_at_blas_threads(script):
+    """``script``'s stdout at one and at two BLAS threads, each in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = []
+    outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", _HASH_RUNS], env=env, capture_output=True, text=True, check=True)
-        digests.append(out.stdout)
-    assert digests == [_HASH_DIGESTS, _HASH_DIGESTS]
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        outs.append(out.stdout)
+    return outs
+
+
+def test_trained_hashes_independent_of_blas_threads():
+    assert _stdout_at_blas_threads(_HASH_RUNS) == [_HASH_DIGESTS, _HASH_DIGESTS]
+
+
+# A stage 2 of batch 12 over 100-point clouds: the encoder's whole-batch
+# weight-gradient products then sum over B*N = 1,200 rows.
+_STAGE2_1200_ROWS = """
+import hashlib
+from tamm.adapters import init_adapter
+from tamm.datagen import DatasetSpec, generate
+from tamm.encoders import init_point_encoder
+from tamm.train import TrainConfig, model_blocks, train_stage2
+
+data = generate(DatasetSpec(seed=1, classes=5, samples_per_class=26, heldout_classes=2, views=2, points_per_cloud=100))
+d = data.spec.feature_dim
+cfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=12)
+models = (init_point_encoder(64, d, 202), init_adapter(d, d // 2, 303, "dual"), init_adapter(d, d // 2, 404, "dual"))
+blocks = model_blocks(None, *train_stage2(data, None, *models, cfg)[:3])
+print(hashlib.sha256(b"".join(key.encode() + blocks[key].tobytes() for key in sorted(blocks))).hexdigest())
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="OpenBLAS rounds an a.T @ b with a 1,200-long inner axis differently on one and on two threads "
+    "(plain numpy shows it for 128x128 products at K = 520, 1,000, 1,200 and 1,500, not at 1,024 or 2,048), "
+    "so stage 2 at 12 clouds x 100 points trains different bits",
+)
+def test_trained_hashes_independent_of_blas_threads_at_1200_rows():
+    one, two = _stdout_at_blas_threads(_STAGE2_1200_ROWS)
+    assert one == two
