@@ -7,9 +7,10 @@ and --seed overrides both for the seed. All outputs are deterministic
 functions of the effective config, so rerunning a command reproduces its
 artifacts byte for byte.
 
-Exit codes: 0 success, 1 check failure, 2 config error, 3 a path that cannot
-be read or written (missing file, directory, permissions), 4 incompatibility
-(includes malformed binary artifacts).
+Exit codes: 0 success, 1 check failure, 2 config error (includes a config too
+large for memory), 3 a path that cannot be read or written (missing file,
+directory, permissions), 4 incompatibility (includes malformed binary
+artifacts).
 """
 
 from __future__ import annotations
@@ -322,6 +323,10 @@ def main(argv=None) -> int:
     except (DegenerateVectorError, NumericError) as exc:
         print(f"numeric check failure: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed
+        print(f"config error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

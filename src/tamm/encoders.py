@@ -12,6 +12,7 @@ and max.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 import os
@@ -198,22 +199,6 @@ def _masked(keep: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-_held = threading.local()
-
-
-def _backward_arrays(shape: tuple) -> tuple:
-    """This thread's three float arrays of ``shape`` for the encoder backward,
-    kept from its last call and replaced when the shape changes. At the default
-    scale each is 32 MiB, past the largest size up to which glibc's malloc
-    raises its mmap threshold, so fresh arrays would be mapped and faulted in
-    page by page on every call."""
-    arrays = getattr(_held, "arrays", None)
-    if arrays is None or arrays[0].shape != shape:
-        _held.arrays = None  # drop the old ones before allocating
-        arrays = _held.arrays = tuple(np.empty(shape) for _ in range(3))
-    return arrays
-
-
 def _lane_count(n_groups: int) -> int:
     """Threads for the encoder's groups: the CPUs of this process's affinity
     mask over BLAS's thread count, at most one per group; one lane when the
@@ -278,16 +263,22 @@ def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradP
     ``backward`` is None.
 
     The step runs over groups of ``GROUP`` clouds, so each group's hidden
-    layers stay in cache from their products through relu and pooling. Every
-    product is row-blocked only, so the result does not depend on the
-    grouping. With ``want_grads``, each group also keeps where its layer 2 is
-    positive, in its rows of one B*N*h bool mask, and each channel's first
-    argmax over points; backward recomputes only layer 1 (K = 3), bit for
-    bit, and builds the layer-2 gradient from the kept mask and argmax. The
-    kept state belongs to the call, so backward may run more than once and
-    forwards may interleave. Backward's three B*N*h float arrays are kept per
-    thread and reused while B*N*h stays the same: after a backward at the
-    default scale (B=128, N=256, h=128), a thread holds about 96 MiB.
+    layers stay in cache from their products through relu and pooling. The
+    forward's products are row-blocked only, so its result does not depend
+    on the grouping. With ``want_grads``, each group also keeps where its
+    layer 2 is positive, in its rows of one B*N*h bool mask, and each
+    channel's first argmax over points. The kept state belongs to the call,
+    so backward may run more than once and forwards may interleave.
+
+    Backward is one pass over the groups, each in its lane's group-sized
+    scratch: it recomputes the group's layer 1 (K = 3), bit for bit, builds
+    its layer-2 gradient from the kept mask and argmax, and sums its own
+    partial ``w2`` and ``w1`` gradients over fixed ``numkit.SUM_ROWS``-row
+    chunks in order, no chunk crossing the group. The partials are then
+    added in group order, and the head gradient is summed over the same
+    chunks of the batch. So the gradient bits depend on ``GROUP`` and
+    ``SUM_ROWS`` alone, not on the lane count or on BLAS's thread count, and
+    backward keeps no B*N*h float array.
 
     Groups run forward and backward on parallel lanes, one per CPU that BLAS
     leaves idle: the CPUs of the process's affinity mask divided by BLAS's
@@ -295,14 +286,9 @@ def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradP
     ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``), at most one lane per
     group. With none of them set, BLAS already uses every CPU and the groups
     run on the calling thread alone. So on a machine with c CPUs,
-    ``OPENBLAS_NUM_THREADS=1`` gives c lanes. Backward is two passes over the
-    same lanes: the first recomputes each group's layer 1 and builds its rows
-    of the layer-2 gradient; in the second, task 0 is the whole-batch ``w2``
-    gradient product, one unsplit call, taken first from the lanes' shared
-    counter, while the other lanes take the groups' layer-1 gradients. Each
-    lane writes only its own groups' rows, and the head, the normalization
-    and the ``w1`` gradient product run whole; no sum changes its order, so
-    every output bit is the same at any lane count.
+    ``OPENBLAS_NUM_THREADS=1`` gives c lanes. Each lane writes only its own
+    groups' rows and partials, so every output bit is the same at any lane
+    count.
 
     Clouds, weights and the head output are checked finite; the hidden
     layers only when the checked maxima do not bound them far from overflow.
@@ -331,7 +317,7 @@ def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradP
     groups = [(lo, min(lo + GROUP, n_b)) for lo in range(0, n_b, GROUP)]
     lanes = _lane_count(len(groups))
     # two float buffers and a bool mask per lane, so no lane allocates a
-    # buffer per group
+    # buffer per group, forward or backward
     block = min(GROUP, n_b) * n_pts
     scratch = [(np.empty((block, h)), np.empty((block, h)), np.empty((block, h), bool)) for _ in range(lanes)]
 
@@ -374,39 +360,29 @@ def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradP
     def backward(g):
         (gp,) = out.backward(np.asarray(g, dtype=np.float64))
         g_pool = gp @ head.T
-        g_head = pooled.T @ gp
         # d feats = g_mean / n_pts everywhere + g_max at the first argmax;
         # + 0.0 turns -0.0 into +0.0, as summing into a zeroed buffer does
         g_mean = g_pool[:, :h] / n_pts
         share = (g_mean + 0.0)[:, None, :]
         peak = np.where(pooled[:, h:] > 0.0, g_pool[:, h:] + g_mean, 0.0)
-        act1, g_lin2, g_lin1 = _backward_arrays((n_b * n_pts, h))
-        g_w2 = np.empty((h, h))
+        g_w1s, g_w2s = np.empty((len(groups), 3, h)), np.empty((len(groups), h, h))
 
-        def g_lin2_group(lane, g):
+        def group_grads(lane, g):
             lo, hi = groups[g]
-            rows = slice(lo * n_pts, hi * n_pts)
-            # the recomputed layer equals the forward's bit for bit: no scan
-            layer1(lo, hi, act1[rows], False)
-            g_feats = _masked(relu2[lo:hi], share[lo:hi], g_lin2[rows].reshape(hi - lo, n_pts, h))
-            g_feats[np.arange(hi - lo)[:, None], amax[lo:hi], np.arange(h)] = peak[lo:hi]
-
-        def g_w2_or_g_lin1_group(lane, t):
-            if t == 0:
-                # the weight gradients sum over all B*N rows in one product
-                # each: splitting their inner axis would change the order of
-                # summation; w2's runs first, beside the groups' layer-1 rows
-                np.matmul(act1.T, g_lin2, out=g_w2)
-                return
-            lo, hi = groups[t - 1]
-            rows = slice(lo * n_pts, hi * n_pts)
             m = (hi - lo) * n_pts
-            buf1, _, mask = scratch[lane]
-            g_act1 = np.matmul(g_lin2[rows], w2.T, out=buf1[:m])
-            _masked(np.greater(act1[rows], 0.0, out=mask[:m]), g_act1, g_lin1[rows])
+            act1, g_lin, mask = (buf[:m] for buf in scratch[lane])
+            # the recomputed layer equals the forward's bit for bit: no scan
+            layer1(lo, hi, act1, False)
+            # layer 2's gradient into g_lin, then layer 1's over it
+            g_feats = _masked(relu2[lo:hi], share[lo:hi], g_lin.reshape(hi - lo, n_pts, h))
+            g_feats[np.arange(hi - lo)[:, None], amax[lo:hi], np.arange(h)] = peak[lo:hi]
+            g_w2s[g] = nk._t_matmul(act1, g_lin)
+            np.greater(act1, 0.0, out=mask)
+            g_act1 = np.matmul(g_lin, w2.T, out=act1)  # act1 is spent once its mask is taken
+            g_w1s[g] = nk._t_matmul(flat[lo * n_pts : hi * n_pts], _masked(mask, g_act1, g_lin))
 
-        _in_lanes(len(groups), lanes, g_lin2_group)
-        _in_lanes(len(groups) + 1, lanes, g_w2_or_g_lin1_group)
-        return flat.T @ g_lin1, g_w2, g_head
+        _in_lanes(len(groups), lanes, group_grads)
+        # the group partials add in group order, whichever lane made each
+        return functools.reduce(np.add, g_w1s), functools.reduce(np.add, g_w2s), nk._t_matmul(pooled, gp)
 
     return GradPair(out.value, backward)

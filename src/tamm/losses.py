@@ -67,7 +67,8 @@ def contrastive_loss(fa, fb, cfg: LossConfig) -> GradPair:
         p_ab = np.exp(s_ab - lse_ab[:, None])
         p_ba = np.exp(s_ba - lse_ba[:, None])
         eye = np.eye(n)
-        return (scale * (((p_ab - eye) + (p_ba - eye).T) @ b),)
+        g_logits = (p_ab - eye) + (p_ba - eye).T
+        return (scale * nk._t_matmul(g_logits.T, b),)
 
     return GradPair(value, backward)
 

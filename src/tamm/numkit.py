@@ -19,6 +19,7 @@ from .errors import DegenerateVectorError, NumericError, ShapeError
 NORM_EPS = 1e-12
 FD_STEP = 1e-5  # central-difference step of finite_diff_check
 OVERFLOW_SAFE = 1e300  # a value bounded below this cannot overflow
+SUM_ROWS = 256  # rows per partial product of a sum over a batch axis; fixed, not a knob
 
 # tanh-approximation constants for gelu
 GELU_CUBIC = 0.044715
@@ -68,8 +69,20 @@ def _check_grad_shape(g: np.ndarray, expected: tuple, op: str) -> np.ndarray:
     return g
 
 
+def _t_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b`` summed over fixed ``SUM_ROWS``-row chunks of the shared
+    first axis, in order: one product over a longer inner axis is split by
+    OpenBLAS according to its thread count, and so rounds differently at
+    different thread counts. Up to ``SUM_ROWS`` rows this is the one product."""
+    out = a[:SUM_ROWS].T @ b[:SUM_ROWS]
+    for lo in range(SUM_ROWS, a.shape[0], SUM_ROWS):
+        out += a[lo : lo + SUM_ROWS].T @ b[lo : lo + SUM_ROWS]
+    return out
+
+
 def matmul(a, b) -> GradPair:
-    """Dense product A[m,k] @ B[k,n]; backward returns (G @ B.T, A.T @ G).
+    """Dense product A[m,k] @ B[k,n]; backward returns (G @ B.T, A.T @ G),
+    the second summed over fixed row chunks by ``_t_matmul``.
 
     The output is scanned only when its bound k * max|A| * max|B| is not
     below ``OVERFLOW_SAFE``.
@@ -86,7 +99,7 @@ def matmul(a, b) -> GradPair:
 
     def backward(g):
         gm = _check_grad_shape(g, out.shape, "matmul")
-        return gm @ bm.T, am.T @ gm
+        return gm @ bm.T, _t_matmul(am, gm)
 
     return GradPair(out, backward)
 

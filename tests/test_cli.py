@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamm import gradcheck, train
+from tamm import datagen, gradcheck, train
 from tamm.cli import main
 from tamm.datagen import DatasetSpec, TripletSet, read_triplets, write_triplets
 from tamm.encoders import FrozenEncoderSpec
@@ -87,6 +87,19 @@ class TestDatagen:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("classes 5\n")
         assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "x.bin")]) == 2
+
+    def test_out_of_memory_exit_2(self, tmp_path, monkeypatch, capsys):
+        message = "Unable to allocate 116. TiB for an array with shape (1000000000000, 16)"
+
+        def no_memory(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(datagen, "generate", no_memory)
+        rc = main(["datagen", "--out", str(tmp_path / "x.bin"), "--set", "classes=1000000000000"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.splitlines() == [f"config error: out of memory: {message}"]
+        assert not (tmp_path / "x.bin").exists()
 
 
 class TestPretrain:

@@ -413,8 +413,8 @@ for name, blocks, rows, optim in [("stage1", model_blocks(cia1), rows1, opt1),
 _HASH_DIGESTS = """\
 dataset 09d0edf3e9c0c399aae6513f4776dccb5a2c28394e4795803fd1d8d491b8ba5c
 stage1 a9feab8cb2c05af64e3eefc9e5f7423364fc32f94399ce4e45b1cfc8b34702a7
-stage2 205391dc35bf7025be291b87175179dc419b3093b09a54f8129668330716b760
-joint a2160d21b3e74cd9bc3ac8e68c1370d15d199e96874154a22d30ce5a23f10702
+stage2 9b2b1af3962ff2830f90e5d8efdbed5299f303b51e128bd42aa3390a3814b9d9
+joint 0203419e7ede7ebcaea21f99b8fcb743253f4643e37d7ea72da2138ed12e0155
 """
 
 
@@ -434,31 +434,45 @@ def test_trained_hashes_independent_of_blas_threads():
     assert _stdout_at_blas_threads(_HASH_RUNS) == [_HASH_DIGESTS, _HASH_DIGESTS]
 
 
-# A stage 2 of batch 12 over 100-point clouds: the encoder's whole-batch
-# weight-gradient products then sum over B*N = 1,200 rows.
-_STAGE2_1200_ROWS = """
+# A small stage 2 whose encoder weight gradients sum over B*N rows, batch
+# times points: 1,200 and 520 rows, which OpenBLAS rounds differently at one
+# and at two threads when they are summed in one product.
+_STAGE2_ROWS = """
 import hashlib
 from tamm.adapters import init_adapter
 from tamm.datagen import DatasetSpec, generate
 from tamm.encoders import init_point_encoder
 from tamm.train import TrainConfig, model_blocks, train_stage2
 
-data = generate(DatasetSpec(seed=1, classes=5, samples_per_class=26, heldout_classes=2, views=2, points_per_cloud=100))
+data = generate(DatasetSpec(seed=1, classes=5, samples_per_class=26, heldout_classes=2, views=2, points_per_cloud={points}))
 d = data.spec.feature_dim
-cfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size=12)
+cfg = TrainConfig(seed=0, total_epochs=2, warmup_epochs=1, batch_size={batch})
 models = (init_point_encoder(64, d, 202), init_adapter(d, d // 2, 303, "dual"), init_adapter(d, d // 2, 404, "dual"))
 blocks = model_blocks(None, *train_stage2(data, None, *models, cfg)[:3])
 print(hashlib.sha256(b"".join(key.encode() + blocks[key].tobytes() for key in sorted(blocks))).hexdigest())
 """
 
+# A stage 1 of batch 520 on the default dataset: the cia's weight gradients
+# and the contrastive loss's backward product sum over 520 rows.
+_STAGE1_520_ROWS = """
+import hashlib
+from tamm.adapters import init_adapter
+from tamm.datagen import DatasetSpec, generate
+from tamm.train import TrainConfig, model_blocks, train_stage1
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="OpenBLAS rounds an a.T @ b with a 1,200-long inner axis differently on one and on two threads "
-    "(plain numpy shows it for 128x128 products at K = 520, 1,000, 1,200 and 1,500, not at 1,024 or 2,048), "
-    "so stage 2 at 12 clouds x 100 points trains different bits",
+data = generate(DatasetSpec())
+d = data.spec.feature_dim
+cfg = TrainConfig(total_epochs=3, batch_size=520)
+blocks = model_blocks(train_stage1(data, init_adapter(d, d // 2, 101, "cia"), cfg)[0])
+print(hashlib.sha256(b"".join(key.encode() + blocks[key].tobytes() for key in sorted(blocks))).hexdigest())
+"""
+
+
+@pytest.mark.parametrize(
+    "script",
+    [_STAGE2_ROWS.format(points=100, batch=12), _STAGE2_ROWS.format(points=40, batch=13), _STAGE1_520_ROWS],
+    ids=["stage2-1200-rows", "stage2-520-rows", "stage1-520-rows"],
 )
-def test_trained_hashes_independent_of_blas_threads_at_1200_rows():
-    one, two = _stdout_at_blas_threads(_STAGE2_1200_ROWS)
+def test_trained_hashes_independent_of_blas_threads_at_long_batch_axes(script):
+    one, two = _stdout_at_blas_threads(script)
     assert one == two
