@@ -130,7 +130,7 @@ def probe_layer_loss(x, w, b, labels) -> GradPair:
         probs = np.exp(logits - lse[:, None])
         probs[np.arange(n), y] -= 1.0
         probs *= float(g) / n
-        return xm.T @ probs, probs.sum(axis=0)
+        return nk._t_matmul(xm, probs), probs.sum(axis=0)
 
     return GradPair(value, backward)
 

@@ -31,13 +31,6 @@ class GradPair(NamedTuple):
     backward: Callable[..., tuple] | None  # None from a forward that keeps nothing for one
 
 
-def _all_finite(arr: np.ndarray) -> bool:
-    # min/max reductions propagate nan and expose inf without a bool temp
-    if arr.size == 0:
-        return True
-    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
-
-
 def _checked(x, name: str) -> tuple[np.ndarray, float]:
     """``x`` as float64 and its largest magnitude; non-finite entries raise."""
     arr = np.asarray(x, dtype=np.float64)
@@ -57,7 +50,8 @@ def _quiet(expected: bool):
 
 
 def _finite_out(arr: np.ndarray, op: str) -> np.ndarray:
-    if not _all_finite(arr):
+    # min/max reductions propagate nan and expose inf without a bool temp
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise NumericError(f"{op} produced non-finite entries")
     return arr
 

@@ -36,8 +36,8 @@ class TrainConfig:
     warmup_epochs: int = 2
     total_epochs: int = 50
     batch_size: int = 128
-    tau: float = 0.07
-    alpha: float = 0.2
+    tau: float = LossConfig.tau
+    alpha: float = CiaConfig.alpha
     betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.01
     seed: int = 0
@@ -156,9 +156,10 @@ def _fit(
     cfg: TrainConfig,
     stage: str,
     resume: Checkpoint | None = None,
-    stop_after_epochs: int | None = None,
     on_epoch=None,
     initial_row: bool = True,
+    *,
+    stop_after_epochs: int | None = None,
 ) -> tuple[dict[str, np.ndarray], list[dict], OptimState]:
     """The epoch loop every stage shares: shuffle, cosine LR, AdamW.
 
@@ -167,9 +168,11 @@ def _fit(
     means become the row's metrics, and ``on_epoch(params, means)`` may turn
     those means into the row's final metric fields. ``initial_row`` adds an
     epoch-0 row for the untrained state (fresh runs only), evaluated on the
-    unshuffled batches. ``stop_after_epochs`` interrupts the run early without
-    altering the schedule, for checkpoint-and-resume. Resuming a finished run
-    trains nothing and returns no rows.
+    unshuffled batches. Resuming a finished run trains nothing and returns no
+    rows. ``stop_after_epochs`` ends the run after that many epochs without
+    altering the schedule; no ``train_*`` function passes it, and the
+    interrupt-and-resume tests bind it with ``functools.partial`` over
+    ``train._fit``, which the ``train_*`` functions look up at call time.
     """
     if cfg.batch_size > n:
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds {n} training examples")
@@ -303,7 +306,6 @@ def train_stage1(
     cia: AdapterParams,
     cfg: TrainConfig,
     resume: Checkpoint | None = None,
-    stop_after_epochs: int | None = None,
 ) -> tuple[AdapterParams, list[dict], OptimState]:
     """Fit the image re-alignment adapter on shifted image/text pairs.
 
@@ -323,7 +325,7 @@ def train_stage1(
         return {**means, "acc_pretrain": pre, "acc_heldout": held}
 
     step = stage1_step(imgs, txts, cfg)
-    params, rows, optim = _fit(model_blocks(cia), step, len(imgs), cfg, "stage1", resume, stop_after_epochs, on_epoch)
+    params, rows, optim = _fit(model_blocks(cia), step, len(imgs), cfg, "stage1", resume, on_epoch)
     return blocks_to_model(params)[0], rows, optim
 
 
@@ -336,7 +338,6 @@ def train_stage2(
     cfg: TrainConfig,
     resume: Checkpoint | None = None,
     views_limit: int | None = None,
-    stop_after_epochs: int | None = None,
 ) -> tuple[PointEncoderParams, AdapterParams, AdapterParams, list[dict], OptimState]:
     """Fit the point encoder and the dual adapters against frozen targets.
 
@@ -348,7 +349,7 @@ def train_stage2(
     adapted = adapt_views(data.image_feats[idx][:, :m], cia, CiaConfig(cfg.alpha))
     step = stage2_step(adapted, data.text_feats[idx], data.points[idx], cfg)
     blocks = model_blocks(None, encoder, iaa, taa)
-    params, rows, optim = _fit(blocks, step, idx.size, cfg, "stage2", resume, stop_after_epochs)
+    params, rows, optim = _fit(blocks, step, idx.size, cfg, "stage2", resume)
     _, out_pe, out_iaa, out_taa = blocks_to_model(params)
     return out_pe, out_iaa, out_taa, rows, optim
 
@@ -360,9 +361,8 @@ def train_onestage(
     iaa: AdapterParams,
     taa: AdapterParams,
     cfg: TrainConfig,
-    views_limit: int | None = None,
     resume: Checkpoint | None = None,
-    stop_after_epochs: int | None = None,
+    views_limit: int | None = None,
 ) -> tuple[AdapterParams, PointEncoderParams, AdapterParams, AdapterParams, list[dict], OptimState]:
     """Joint ablation: one loop over realign + trimodal with the cia trainable
     (see ``joint_step``)."""
@@ -374,9 +374,7 @@ def train_onestage(
         return {"loss": means["loss_realign"] + means["loss_trimodal"], **means}
 
     blocks = model_blocks(cia, encoder, iaa, taa)
-    params, rows, optim = _fit(
-        blocks, step, idx.size, cfg, "joint", resume, stop_after_epochs, on_epoch, initial_row=False
-    )
+    params, rows, optim = _fit(blocks, step, idx.size, cfg, "joint", resume, on_epoch, initial_row=False)
     out_cia, out_pe, out_iaa, out_taa = blocks_to_model(params)
     return out_cia, out_pe, out_iaa, out_taa, rows, optim
 
@@ -391,10 +389,7 @@ def config_to_meta(cfg: TrainConfig) -> dict[str, str]:
 
 
 def config_from_meta(meta: dict[str, str]) -> TrainConfig:
-    try:
-        return TrainConfig(**{f.name: parse_value(f, meta[f.name]) for f in fields(TrainConfig)})
-    except KeyError as exc:
-        raise ConfigError(f"missing config key {exc}") from None
+    return TrainConfig(**{f.name: parse_value(f, meta[f.name]) for f in fields(TrainConfig)})
 
 
 def save_checkpoint(
@@ -447,8 +442,10 @@ def load_checkpoint(path) -> Checkpoint:
     m = {k.split(":", 1)[1]: v for k, v in named.items() if k.startswith("optim.m:")}
     v = {k.split(":", 1)[1]: v for k, v in named.items() if k.startswith("optim.v:")}
     try:
-        step = int(meta.get("step", "0"))
+        step = int(meta["step"])
         cfg = config_from_meta(meta)
+    except KeyError as exc:
+        raise FormatError(f"checkpoint meta block at byte {meta_at}: missing key {exc}") from None
     except ValueError as exc:  # ConfigError included
         raise FormatError(f"checkpoint meta block at byte {meta_at}: {exc}") from None
     return Checkpoint(blocks, OptimState(m, v, step), cfg, meta)

@@ -1,6 +1,9 @@
+import contextlib
+import functools
+
 import pytest
 
-from tamm import gradcheck
+from tamm import gradcheck, train
 
 
 @pytest.fixture
@@ -21,5 +24,19 @@ def mis_scale(monkeypatch):
             return wrong, params
 
         monkeypatch.setitem(gradcheck.CASES, name, mis_scaled)
+
+    return use
+
+
+@pytest.fixture
+def stop_after(monkeypatch):
+    """``with stop_after(k):`` ends every ``train_*`` run inside after ``k``
+    epochs, schedule unchanged, through the private ``train._fit``."""
+
+    @contextlib.contextmanager
+    def use(epochs):
+        with monkeypatch.context() as patch:
+            patch.setattr(train, "_fit", functools.partial(train._fit, stop_after_epochs=epochs))
+            yield
 
     return use

@@ -242,7 +242,7 @@ def test_criterion_7_fewshot_protocol(default_data, stage2):
     )
 
 
-def test_criterion_8_exact_invariants(tmp_path, default_data, stage1, stage2, heldout_features):
+def test_criterion_8_exact_invariants(tmp_path, default_data, stage1, stage2, heldout_features, stop_after):
     data, _ = default_data
     held, f_vp, f_sp, bank = heldout_features
 
@@ -280,7 +280,8 @@ def test_criterion_8_exact_invariants(tmp_path, default_data, stage1, stage2, he
     rcfg = TrainConfig(seed=0, total_epochs=4, warmup_epochs=1, batch_size=8)
     cia0 = init_adapter(small.spec.feature_dim, 8, 9, "cia")
     full, _, _ = train_stage1(small, cia0, rcfg)
-    half, _, half_optim = train_stage1(small, cia0, rcfg, stop_after_epochs=2)
+    with stop_after(2):
+        half, _, half_optim = train_stage1(small, cia0, rcfg)
     hp = tmp_path / "half.ckpt"
     save_checkpoint(hp, model_blocks(half), half_optim, rcfg, half_optim.step, extra={"trained_stage": "stage1"})
     resumed, _, _ = train_stage1(small, cia0, rcfg, resume=load_checkpoint(hp))

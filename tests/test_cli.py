@@ -1,5 +1,5 @@
-import functools
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamm import datagen, gradcheck, train
+from tamm import datagen, gradcheck
 from tamm.cli import main
 from tamm.datagen import DatasetSpec, TripletSet, read_triplets, write_triplets
 from tamm.encoders import FrozenEncoderSpec
@@ -46,6 +46,15 @@ def workdir(tmp_path_factory):
     return root
 
 
+def _cli_process(argv, preexec_fn=None, **env):
+    """``python -m tamm.cli *argv`` in a fresh process on this tree's sources, ``env`` added."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "tamm.cli", *argv]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, preexec_fn=preexec_fn)
+
+
 class TestDatagen:
     def test_roundtrips_through_pretrain(self, workdir):
         data = read_triplets(workdir / "data.bin")
@@ -58,13 +67,8 @@ class TestDatagen:
         assert a.read_bytes() == b.read_bytes()
 
     def test_module_entry_point_runs(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        proc = subprocess.run(
-            [sys.executable, "-m", "tamm.cli", "datagen", "--out", str(a), "--seed", "7", *SMALL],
-            env=env, capture_output=True, text=True,
-        )
+        proc = _cli_process(["datagen", "--out", str(a), "--seed", "7", *SMALL])
         assert proc.returncode == 0, proc.stderr
         assert main(["datagen", "--out", str(b), "--seed", "7", *SMALL]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -99,6 +103,19 @@ class TestDatagen:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.splitlines() == [f"config error: out of memory: {message}"]
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_out_of_memory_exit_2_in_a_real_process(self, tmp_path):
+        # numpy refuses the 116 TiB array at once; the 1 GiB address-space cap
+        # keeps anything from paging in whatever the overcommit policy, and one
+        # BLAS thread keeps a many-core machine's thread stacks under it
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        argv = ["datagen", "--out", str(tmp_path / "x.bin"), "--set", "classes=1000000000000", "--set", "heldout_classes=1"]
+        proc = _cli_process(argv, preexec_fn=cap_address_space, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: out of memory:") and "Traceback" not in proc.stderr
         assert not (tmp_path / "x.bin").exists()
 
 
@@ -156,16 +173,14 @@ class TestPretrain:
         assert "9" in err and "2" in err
 
     @pytest.mark.parametrize("stage", ["1", "2", "joint"])
-    def test_resume_matches_uninterrupted(self, workdir, tmp_path, monkeypatch, stage):
+    def test_resume_matches_uninterrupted(self, workdir, tmp_path, stop_after, stage):
         run = ["pretrain", "--stage", stage, "--data", str(workdir / "data.bin"), "--seed", "0", *SMALL, *FAST_TRAIN]
         if stage == "2":
             run += ["--cia", str(workdir / "s1.ckpt")]
         full, half, resumed = (tmp_path / f"{name}.ckpt" for name in ("full", "half", "resumed"))
         assert main([*run, "--out", str(full)]) == 0
         # the same run interrupted after one epoch, then resumed from its checkpoint
-        fn = {"1": "train_stage1", "2": "train_stage2", "joint": "train_onestage"}[stage]
-        with monkeypatch.context() as patch:
-            patch.setattr(train, fn, functools.partial(getattr(train, fn), stop_after_epochs=1))
+        with stop_after(1):
             assert main([*run, "--out", str(half)]) == 0
         assert load_checkpoint(half).optim.step < load_checkpoint(full).optim.step
         assert main([*run, "--out", str(resumed), "--resume", str(half)]) == 0
@@ -239,6 +254,8 @@ class TestMalformedInput:
         "block-name-not-utf8": (b"cia.w1", b"cia.w\xff"),
         "base_lr-not-float": (b"base_lr=0.0005", b"base_lr=x"),
         "step-not-int": (b"step=", b"step=x"),
+        "step-missing": (b"step=", b"stop="),
+        "config-key-missing": (b"tau=", b"tua="),
         "betas-without-comma": (b"betas=0.9,", b"betas=0.9;"),
         "config-fails-validation": (b"batch_size=8", b"batch_size=1"),
         "tau-out-of-range": (b"tau=0.07", b"tau=inf"),

@@ -200,10 +200,11 @@ class TestStage2:
         train_stage2(data, cia, pe, iaa, taa, cfg)
         assert (cia.w1.tobytes(), cia.w2.tobytes()) == before
 
-    def test_loss_drops_below_untrained(self, data):
+    def test_loss_drops_below_untrained(self, data, stop_after):
         cia, pe, iaa, taa = small_models(data.spec.feature_dim)
         cfg = TrainConfig(seed=0, **SMALL_CFG)
-        pe1, iaa1, taa1, rows, _ = train_stage2(data, cia, pe, iaa, taa, cfg, stop_after_epochs=1)
+        with stop_after(1):
+            pe1, iaa1, taa1, rows, _ = train_stage2(data, cia, pe, iaa, taa, cfg)
         assert {"loss", "loss_text", "loss_image"} <= set(rows[0])
 
         idx = data.indices(PRETRAIN)
@@ -268,7 +269,7 @@ class TestCheckpoint:
         assert all(np.all(v == 0.0) for v in ck.optim.m.values())
 
     @pytest.mark.parametrize("stage", ["stage1", "stage2", "joint"])
-    def test_resume_equals_uninterrupted(self, tmp_path, data, stage):
+    def test_resume_equals_uninterrupted(self, tmp_path, data, stop_after, stage):
         cfg = TrainConfig(seed=0, total_epochs=4, warmup_epochs=1, batch_size=8)
         cia, pe, iaa, taa = small_models(data.spec.feature_dim)
 
@@ -283,7 +284,8 @@ class TestCheckpoint:
             return model_blocks(*trained), rows, optim
 
         full, full_rows, full_optim = fit()
-        half, _, half_optim = fit(stop_after_epochs=2)
+        with stop_after(2):
+            half, _, half_optim = fit()
         path = tmp_path / "half.ckpt"
         save_checkpoint(path, half, half_optim, cfg, half_optim.step, extra={"trained_stage": stage})
         resumed, resumed_rows, resumed_optim = fit(resume=load_checkpoint(path))
@@ -296,12 +298,13 @@ class TestCheckpoint:
         assert resumed_optim.step == full_optim.step
         assert resumed_rows == full_rows[-2:]
 
-    def test_resume_from_meta_with_retired_stage_key(self, tmp_path, data):
+    def test_resume_from_meta_with_retired_stage_key(self, tmp_path, data, stop_after):
         # checkpoints once carried a no-op ``stage=two`` config key; they still load and resume
         cfg = TrainConfig(seed=0, **SMALL_CFG)
         cia, *_ = small_models(data.spec.feature_dim)
         full, _, full_optim = train_stage1(data, cia, cfg)
-        half, _, half_optim = train_stage1(data, cia, cfg, stop_after_epochs=1)
+        with stop_after(1):
+            half, _, half_optim = train_stage1(data, cia, cfg)
         path = tmp_path / "old.ckpt"
         extra = {"trained_stage": "stage1", "stage": "two"}
         save_checkpoint(path, model_blocks(half), half_optim, cfg, half_optim.step, extra=extra)
@@ -467,11 +470,23 @@ blocks = model_blocks(train_stage1(data, init_adapter(d, d // 2, 101, "cia"), cf
 print(hashlib.sha256(b"".join(key.encode() + blocks[key].tobytes() for key in sorted(blocks))).hexdigest())
 """
 
+# A linear probe on 1,200 random rows: its weight gradient sums over them.
+_PROBE_1200_ROWS = """
+import hashlib
+import numpy as np
+from tamm.evaluate import train_probe
+
+rng = np.random.default_rng(0)
+w, b = train_probe(rng.standard_normal((1200, 128)), rng.integers(0, 10, 1200), 10)
+print(hashlib.sha256(w.tobytes() + b.tobytes()).hexdigest())
+"""
+
 
 @pytest.mark.parametrize(
     "script",
-    [_STAGE2_ROWS.format(points=100, batch=12), _STAGE2_ROWS.format(points=40, batch=13), _STAGE1_520_ROWS],
-    ids=["stage2-1200-rows", "stage2-520-rows", "stage1-520-rows"],
+    [_STAGE2_ROWS.format(points=100, batch=12), _STAGE2_ROWS.format(points=40, batch=13), _STAGE1_520_ROWS,
+     _PROBE_1200_ROWS],
+    ids=["stage2-1200-rows", "stage2-520-rows", "stage1-520-rows", "probe-1200-rows"],
 )
 def test_trained_hashes_independent_of_blas_threads_at_long_batch_axes(script):
     one, two = _stdout_at_blas_threads(script)
