@@ -41,7 +41,7 @@ class AdapterParams:
     def __post_init__(self):
         self.w1 = np.asarray(self.w1, dtype=np.float64)
         self.w2 = np.asarray(self.w2, dtype=np.float64)
-        if self.w1.ndim != 2 or self.w2.ndim != 2 or self.w1.shape[1] != self.w2.shape[0]:
+        if self.w1.ndim != 2 or self.w2.ndim != 2 or self.w2.shape != self.w1.shape[::-1]:
             raise ShapeError(f"adapter weights disagree: w1 {self.w1.shape}, w2 {self.w2.shape}")
 
 

@@ -173,7 +173,7 @@ def _eval_split_indices(data, split: str) -> np.ndarray:
     if split == "heldout":
         return data.indices(datagen.EVAL_HELDOUT)
     if split == "seen":
-        return np.sort(np.concatenate([data.indices(datagen.PRETRAIN), data.indices(datagen.EVAL_SEEN)]))
+        return np.flatnonzero(data.labels < data.spec.seen_classes)
     if split == "all":
         return np.arange(data.labels.size)
     raise ConfigError(f"unknown split {split!r}")

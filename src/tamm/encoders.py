@@ -12,11 +12,11 @@ and max.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import functools
 import itertools
 import math
 import os
-import re
 import threading
 from dataclasses import dataclass, field
 
@@ -199,17 +199,24 @@ def _masked(keep: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _openblas_get_num_threads():
+    """OpenBLAS's ``int f(void)`` thread-count getter, reached through numpy's
+    BLAS-linked linalg extension, or None if it exports none. Looked up once."""
+    try:
+        linked = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return None
+    symbols = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+    return next((ctypes.CFUNCTYPE(ctypes.c_int)((name, linked)) for name in symbols if hasattr(linked, name)), None)
+
+
 def _lane_count(n_groups: int) -> int:
-    """Threads for the encoder's groups: the CPUs of this process's affinity
-    mask over BLAS's thread count, at most one per group; one lane when the
-    BLAS thread count is unset, since BLAS then keeps every CPU busy."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        # OpenBLAS takes the first of these that C's atoi reads as positive
-        found = re.match(r"\s*[+-]?\d+", os.environ.get(var, ""))
-        if found and int(found.group()) > 0:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-            return max(1, min(n_groups, cpus // int(found.group())))
-    return 1
+    """Threads for the encoder's groups: the affinity CPUs over the thread count
+    BLAS reports now, at most one per group; one if BLAS cannot be asked."""
+    get_threads = _openblas_get_num_threads()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return 1 if get_threads is None else max(1, min(n_groups, cpus // get_threads()))
 
 
 def _in_lanes(n_tasks: int, lanes: int, run) -> None:
@@ -280,15 +287,11 @@ def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradP
     ``SUM_ROWS`` alone, not on the lane count or on BLAS's thread count, and
     backward keeps no B*N*h float array.
 
-    Groups run forward and backward on parallel lanes, one per CPU that BLAS
-    leaves idle: the CPUs of the process's affinity mask divided by BLAS's
-    thread count, read as OpenBLAS reads it (``OPENBLAS_NUM_THREADS``, then
-    ``GOTO_NUM_THREADS``, then ``OMP_NUM_THREADS``), at most one lane per
-    group. With none of them set, BLAS already uses every CPU and the groups
-    run on the calling thread alone. So on a machine with c CPUs,
-    ``OPENBLAS_NUM_THREADS=1`` gives c lanes. Each lane writes only its own
-    groups' rows and partials, so every output bit is the same at any lane
-    count.
+    Groups run forward and backward on ``_lane_count`` parallel lanes, one
+    per CPU that BLAS leaves idle: with c CPUs, ``OPENBLAS_NUM_THREADS=1``
+    gives c lanes, and OpenBLAS's default of every CPU gives one. Each lane
+    writes only its own groups' rows and partials, so every output bit is
+    the same at any lane count.
 
     Clouds, weights and the head output are checked finite; the hidden
     layers only when the checked maxima do not bound them far from overflow.

@@ -10,7 +10,6 @@ is a pure function of its trial seed.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -262,13 +261,8 @@ def retrieve(query, gallery_vp, gallery_sp, mode: str, k: int = 5) -> np.ndarray
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1 or gallery.ndim != 2 or gallery.shape[1] != q.size:
         raise ShapeError(f"query {q.shape} does not match gallery {gallery.shape}")
-    if gallery.shape[0] == 0:
-        raise ConfigError("retrieval gallery is empty")
-    if k < 1:
-        raise ConfigError(f"retrieval k must be >= 1, got {k}")
-    if k > gallery.shape[0]:
-        warnings.warn(f"k={k} exceeds gallery size {gallery.shape[0]}; clamping")
-        k = gallery.shape[0]
+    if not 1 <= k <= gallery.shape[0]:
+        raise ConfigError(f"retrieval k must be >= 1 and at most the gallery size {gallery.shape[0]}, got {k}")
     scores = gallery @ q
     order = np.argsort(-scores, kind="stable")
     return order[:k]

@@ -451,6 +451,13 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(blocks, OptimState(m, v, step), cfg, meta)
 
 
+# each model part's type and its {block name: field}, in model_blocks' order
+_BLOCK_LAYOUT = tuple(
+    (cls, {f"{part}.{f.name}": f.name for f in fields(cls)})
+    for part, cls in zip(("cia", "pe", "iaa", "taa"), (AdapterParams, PointEncoderParams, AdapterParams, AdapterParams))
+)
+
+
 def model_blocks(
     cia: AdapterParams | None,
     encoder: PointEncoderParams | None = None,
@@ -458,25 +465,20 @@ def model_blocks(
     taa: AdapterParams | None = None,
 ) -> dict[str, np.ndarray]:
     blocks: dict[str, np.ndarray] = {}
-    if cia is not None:
-        blocks["cia.w1"], blocks["cia.w2"] = cia.w1, cia.w2
-    if encoder is not None:
-        blocks["pe.w1"], blocks["pe.w2"], blocks["pe.head"] = encoder.w1, encoder.w2, encoder.head
-    if iaa is not None:
-        blocks["iaa.w1"], blocks["iaa.w2"] = iaa.w1, iaa.w2
-    if taa is not None:
-        blocks["taa.w1"], blocks["taa.w2"] = taa.w1, taa.w2
+    for part, (_, names) in zip((cia, encoder, iaa, taa), _BLOCK_LAYOUT):
+        if part is not None:
+            for name, attr in names.items():
+                blocks[name] = getattr(part, attr)
     return blocks
 
 
 def blocks_to_model(
     blocks: dict[str, np.ndarray],
 ) -> tuple[AdapterParams | None, PointEncoderParams | None, AdapterParams | None, AdapterParams | None]:
-    cia = AdapterParams(blocks["cia.w1"], blocks["cia.w2"]) if "cia.w1" in blocks else None
-    pe = PointEncoderParams(blocks["pe.w1"], blocks["pe.w2"], blocks["pe.head"]) if "pe.w1" in blocks else None
-    iaa = AdapterParams(blocks["iaa.w1"], blocks["iaa.w2"]) if "iaa.w1" in blocks else None
-    taa = AdapterParams(blocks["taa.w1"], blocks["taa.w2"]) if "taa.w1" in blocks else None
-    return cia, pe, iaa, taa
+    """The model's parts, None for each part not all of whose blocks are present."""
+    return tuple(
+        cls(*map(blocks.get, names)) if names.keys() <= blocks.keys() else None for cls, names in _BLOCK_LAYOUT
+    )
 
 
 def write_metrics_csv(rows: list[dict], path, run_id: str) -> None:

@@ -126,3 +126,8 @@ class TestInit:
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             AdapterParams(np.ones((4, 3)), np.ones((4, 3)))
+
+    def test_output_width_must_equal_input_width(self):
+        # w1 and w2 agree on the hidden width, but the map is 4 -> 5
+        with pytest.raises(ShapeError, match="adapter weights disagree"):
+            AdapterParams(np.ones((4, 3)), np.ones((3, 5)))

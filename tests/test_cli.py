@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import resource
 import struct
@@ -8,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamm import datagen, gradcheck
+from tamm import cli, datagen, gradcheck
 from tamm.cli import main
 from tamm.datagen import DatasetSpec, TripletSet, read_triplets, write_triplets
 from tamm.encoders import FrozenEncoderSpec
-from tamm.train import load_checkpoint
+from tamm.train import load_checkpoint, save_checkpoint
 
 SMALL = [
     "--set", "classes=5",
@@ -289,6 +290,33 @@ class TestMalformedInput:
         assert main(self.resume(workdir, bad, tmp_path / "out.ckpt")) == 4
         assert not (tmp_path / "out.ckpt").exists()
 
+    @pytest.mark.parametrize("task", ["pretrain", "zeroshot", "linear"])
+    def test_adapter_wider_than_its_input_exit_4(self, workdir, tmp_path, capsys, task):
+        # one more w2 column: stage 2 reads the cia, eval the iaa
+        src, name = ("s1.ckpt", "cia.w2") if task == "pretrain" else ("s2.ckpt", "iaa.w2")
+        ck = load_checkpoint(workdir / src)
+        blocks = dict(ck.blocks, **{name: np.hstack([ck.blocks[name], ck.blocks[name][:, :1]])})
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, blocks, ck.optim, ck.config, ck.optim.step)
+        data = ["--data", str(workdir / "data.bin")]
+        argv = {
+            "pretrain": ["pretrain", "--stage", "2", *data, "--cia", str(bad), "--out", str(tmp_path / "out.ckpt"),
+                         "--seed", "0", *SMALL, *FAST_TRAIN],
+        }.get(task, ["eval", "--task", task, *data, "--ckpt", str(bad)])
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("incompatible artifacts: adapter weights disagree") and "Traceback" not in err
+        assert not (tmp_path / "out.ckpt").exists()
+
+    def test_checkpoint_missing_one_block_of_a_part_exit_4(self, workdir, tmp_path, capsys):
+        # the encoder's w1 and w2 are there, its head is not
+        name = b"pe.head"
+        bad = edited_checkpoint(workdir / "s2.ckpt", tmp_path / "bad.ckpt", struct.pack("<I", len(name)) + name,
+                                struct.pack("<I", len(name)) + b"pe.hea_")
+        assert main(["eval", "--task", "zeroshot", "--ckpt", str(bad), "--data", str(workdir / "data.bin")]) == 4
+        err = capsys.readouterr().err
+        assert "lacks the point encoder" in err and "Traceback" not in err
+
     def test_dataset_header_fails_spec_validation_exit_4(self, workdir, tmp_path, capsys):
         blob = bytearray((workdir / "data.bin").read_bytes())
         blob[32:36] = (0).to_bytes(4, "little")  # heldout_classes
@@ -352,6 +380,14 @@ class TestMalformedInput:
 
 
 class TestEval:
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_seen_split_is_the_pretrain_and_eval_seen_samples(self, workdir, shuffled):
+        data = read_triplets(workdir / "data.bin")
+        if shuffled:
+            data = dataclasses.replace(data, labels=np.random.default_rng(5).permutation(data.labels))
+        want = np.sort(np.concatenate([data.indices(datagen.PRETRAIN), data.indices(datagen.EVAL_SEEN)]))
+        np.testing.assert_array_equal(cli._eval_split_indices(data, "seen"), want)
+
     def test_zeroshot_modes_and_nesting(self, workdir, tmp_path, capsys):
         args = ["eval", "--task", "zeroshot", "--ckpt", str(workdir / "s2.ckpt"), "--data", str(workdir / "data.bin"),
                 "-k", "1,2", "--report", str(tmp_path / "z.csv")]
@@ -377,6 +413,14 @@ class TestEval:
         assert main(["eval", "--task", "retrieve", "--query-modality", "text", "--query-index", "3", *base]) == 0
         assert main(["eval", "--task", "retrieve", "--query-modality", "image", "--query-index", "3", "--views", "2", *base]) == 0
         assert "top-5" in capsys.readouterr().out
+
+    def test_retrieve_k_beyond_the_gallery_exit_2(self, workdir, capsys):
+        base = ["--ckpt", str(workdir / "s2.ckpt"), "--data", str(workdir / "data.bin"), "--split", "all"]
+        argv = ["eval", "--task", "retrieve", "--query-modality", "text", "--query-index", "3", *base]
+        assert main([*argv, "--topk-retrieve", "100000"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: retrieval k must be >= 1 and at most the gallery size {5 * 26}, got 100000"]
+        assert "Warning" not in err
 
     def test_retrieve_zero_views_exit_4(self, workdir, capsys):
         base = ["--ckpt", str(workdir / "s2.ckpt"), "--data", str(workdir / "data.bin"), "--split", "all"]

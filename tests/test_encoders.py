@@ -1,7 +1,9 @@
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,21 +356,18 @@ class _CountingThread(threading.Thread):
 
 @pytest.fixture
 def lanes(monkeypatch):
-    """Sets the lane rule's inputs, one BLAS thread and ``cpus`` CPUs, and
-    counts the threads the encoder starts. Threads switch every microsecond,
-    so lanes interleave as finely as they can."""
+    """Sets the lane rule's inputs, the thread count BLAS reports (None: no
+    BLAS to ask) and ``cpus`` CPUs, and counts the threads the encoder
+    starts. Threads switch every microsecond, so lanes interleave as finely
+    as they can."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     monkeypatch.setattr(_CountingThread, "started", 0)
     monkeypatch.setattr(encoders.threading, "Thread", _CountingThread)
-    monkeypatch.delenv("GOTO_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
 
-    def use(cpus, blas="1"):
-        if blas is None:
-            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    def use(cpus, blas=1):
+        getter = None if blas is None else lambda: blas
+        monkeypatch.setattr(encoders, "_openblas_get_num_threads", lambda: getter)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
     yield use
@@ -514,33 +513,53 @@ class TestLanes:
         assert _CountingThread.started == n_lanes - 1
 
     def test_no_thread_when_blas_threads_unset(self, lanes):
-        lanes(64, blas=None)
+        # unset, OpenBLAS runs a thread on every CPU
+        lanes(64, blas=64)
         clouds = np.random.default_rng(24).normal(size=(4 * GROUP, 16, 3))
         out = encode_points(clouds, init_point_encoder(8, 4, 2), True)
         out.backward(np.ones((4 * GROUP, 4)))
         assert _CountingThread.started == 0
 
     @pytest.mark.parametrize(
-        "env, cpus, groups, want",
+        "blas, cpus, groups, want",
         [
-            ({}, 8, 16, 1),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 16, 2),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 16, 1),
-            ({"OPENBLAS_NUM_THREADS": "3"}, 2, 16, 1),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 8, 16, 4),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 8, 3, 3),
-            ({"OMP_NUM_THREADS": "1"}, 4, 16, 4),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 16, 2),
-            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 4, 16, 4),
-            ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 4, 16, 2),
-            ({"OPENBLAS_NUM_THREADS": " 2threads"}, 4, 16, 2),
-            ({"OPENBLAS_NUM_THREADS": "-1"}, 4, 16, 1),
-            ({"GOTO_NUM_THREADS": "1"}, 2, 16, 2),
-            ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 16, 1),
+            (None, 8, 16, 1),
+            (8, 8, 16, 1),
+            (1, 2, 16, 2),
+            (2, 2, 16, 1),
+            (2, 8, 16, 4),
+            (3, 8, 16, 2),
+            (1, 8, 3, 3),
+            (4, 2, 16, 1),
         ],
     )
-    def test_lane_rule(self, env, cpus, groups, want, lanes, monkeypatch):
-        lanes(cpus, blas=None)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
+    def test_lane_rule(self, blas, cpus, groups, want, lanes):
+        lanes(cpus, blas)
         assert encoders._lane_count(groups) == want
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "env, one_lane",
+    [
+        ({}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, False),
+        ({"OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, False),
+    ],
+)
+def test_lanes_follow_the_threads_openblas_reads(env, one_lane):
+    # OpenBLAS reads its variables when numpy loads it, so each case runs in
+    # a fresh process: BLAS on every CPU leaves one lane, one BLAS thread
+    # gives a lane per CPU
+    if encoders._openblas_get_num_threads() is None:
+        pytest.skip("numpy's BLAS reports no thread count")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    child.update(env, PYTHONPATH=os.pathsep.join(filter(None, [src, child.get("PYTHONPATH")])))
+    script = "import os\nfrom tamm import encoders\nprint(encoders._lane_count(16), len(os.sched_getaffinity(0)))"
+    out = subprocess.run([sys.executable, "-c", script], env=child, capture_output=True, text=True, check=True)
+    lanes, cpus = map(int, out.stdout.split())
+    assert lanes == (1 if one_lane else min(16, cpus))

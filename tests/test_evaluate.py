@@ -229,11 +229,11 @@ class TestRetrieve:
         top1 = retrieve(q, vp, sp, "text", k=1)
         assert top1[0] == top5[0]
 
-    def test_clamp_warns(self):
+    def test_k_beyond_the_gallery_rejected(self):
         vp, sp = self.gallery()
-        with pytest.warns(UserWarning, match="clamping"):
-            got = retrieve(sp[0], vp, sp, "text", k=100)
-        assert got.size == 30
+        assert retrieve(sp[0], vp, sp, "text", k=30).size == 30
+        with pytest.raises(ConfigError, match="at most the gallery size 30, got 31"):
+            retrieve(sp[0], vp, sp, "text", k=31)
 
     def test_mode_validated(self):
         vp, sp = self.gallery()
