@@ -211,12 +211,14 @@ def _openblas_get_num_threads():
     return next((ctypes.CFUNCTYPE(ctypes.c_int)((name, linked)) for name in symbols if hasattr(linked, name)), None)
 
 
-def _lane_count(n_groups: int) -> int:
-    """Threads for the encoder's groups: the affinity CPUs over the thread count
-    BLAS reports now, at most one per group; one if BLAS cannot be asked."""
+def _lane_count(n_tasks: int) -> int:
+    """Threads that may run beside BLAS: the affinity CPUs over the thread
+    count BLAS reports now, at most one per task; one if BLAS cannot be asked.
+    The encoder's groups are its tasks; ``train._fit`` asks for two, the epoch's
+    steps and the last epoch's row."""
     get_threads = _openblas_get_num_threads()
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return 1 if get_threads is None else max(1, min(n_groups, cpus // get_threads()))
+    return 1 if get_threads is None else max(1, min(n_tasks, cpus // get_threads()))
 
 
 def _in_lanes(n_tasks: int, lanes: int, run) -> None:

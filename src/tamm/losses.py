@@ -66,8 +66,10 @@ def contrastive_loss(fa, fb, cfg: LossConfig) -> GradPair:
         scale = float(g) / (2.0 * n * cfg.tau)
         p_ab = np.exp(s_ab - lse_ab[:, None])
         p_ba = np.exp(s_ba - lse_ba[:, None])
-        eye = np.eye(n)
-        g_logits = (p_ab - eye) + (p_ba - eye).T
+        # minus the identity on the diagonals alone: off them, p - 0.0 is p for the p >= 0 of exp
+        p_ab.reshape(-1)[:: n + 1] -= 1.0
+        p_ba.reshape(-1)[:: n + 1] -= 1.0
+        g_logits = p_ab + p_ba.T
         return (scale * nk._t_matmul(g_logits.T, b),)
 
     return GradPair(value, backward)

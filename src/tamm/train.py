@@ -1,27 +1,30 @@
 """Optimizer, learning-rate schedule, the two pre-training stages, the
 one-stage ablation, and binary checkpointing.
 
-Training is single-threaded and fully determined by (seed, config, dataset):
-per-epoch shuffles derive from (seed, epoch), the optimizer is functional,
-and checkpoints restore parameters, moments, and step counter exactly, so a
-resumed run reproduces an uninterrupted one bit for bit.
+Training steps run in order and are fully determined by (seed, config,
+dataset): per-epoch shuffles derive from (seed, epoch), the optimizer is
+functional, and checkpoints restore parameters, moments, and step counter
+exactly, so a resumed run reproduces an uninterrupted one bit for bit.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import math
 import struct
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
+from . import numkit as nk
 from .adapters import AdapterParams, CiaConfig, cia_forward, dual_forward
 from .codec import FramedReader, atomic_open, format_value, parse_value, write_framed
-from .datagen import PRETRAIN, EVAL_HELDOUT, TripletSet, batched_contrastive_accuracy
-from .encoders import PointEncoderParams, encode_points
-from .errors import ConfigError, FormatError, IncompatibilityError, ShapeError
+from .datagen import ACCURACY_BATCH, PRETRAIN, EVAL_HELDOUT, TripletSet
+from .encoders import PointEncoderParams, _lane_count, encode_points
+from .errors import ConfigError, DegenerateVectorError, FormatError, IncompatibilityError, ShapeError
 from .losses import LossConfig, contrastive_loss, trimodal_loss
 
 ADAM_EPS = 1e-8
@@ -173,6 +176,12 @@ def _fit(
     altering the schedule; no ``train_*`` function passes it, and the
     interrupt-and-resume tests bind it with ``functools.partial`` over
     ``train._fit``, which the ``train_*`` functions look up at call time.
+
+    With a CPU that BLAS leaves idle (``_lane_count(2) >= 2``), rows are
+    recorded in epoch order on a helper thread beside the next epoch's steps.
+    ``on_epoch`` must not write ``params`` and should allocate no full-size
+    array there (glibc gives each thread its own arena). Errors surface in
+    serial order, and a ``KeyboardInterrupt`` is never replaced.
     """
     if cfg.batch_size > n:
         raise ConfigError(f"batch_size {cfg.batch_size} exceeds {n} training examples")
@@ -183,27 +192,47 @@ def _fit(
     params, optim, start_step = _resume_state(resume, params, cfg, stage, spe)
 
     rows: list[dict] = []
+    helper = ThreadPoolExecutor(1, thread_name_prefix="tamm-epoch-row") if _lane_count(2) >= 2 else None
+    pending: list[Future] = []  # the row in flight on the helper
 
     def record(params, epoch: int, terms: list[dict], lr: float) -> None:
         means = {key: float(np.mean([t[key] for t in terms])) for key in terms[0]}
         metrics = on_epoch(params, means) if on_epoch else means
         rows.append({"stage": stage, "epoch": epoch, **metrics, "lr": lr})
 
-    if initial_row and start_step == 0:
-        record(params, 0, [step(params, np.arange(b * bs, (b + 1) * bs), False)[0] for b in range(spe)], 0.0)
+    def settle() -> None:
+        if pending:
+            pending.pop().result()  # raises the row's error
+
+    def submit(*args) -> None:
+        settle()
+        if helper is None:
+            record(*args)
+        else:  # in a copy of the caller's context, so that np.errstate holds there too
+            pending.append(helper.submit(contextvars.copy_context().run, record, *args))
 
     lr = 0.0
     last_epoch = cfg.total_epochs if stop_after_epochs is None else min(stop_after_epochs, cfg.total_epochs)
-    for epoch in range(start_step // spe, last_epoch):
-        perm = _epoch_perm(cfg.seed, epoch, n)
-        terms = []
-        for b in range(spe):
-            gstep = epoch * spe + b
-            batch_terms, grads = step(params, perm[b * bs : (b + 1) * bs], True)
-            lr = cosine_lr(gstep, total_steps, warmup_steps, cfg.base_lr)
-            params, optim = adamw_step(params, grads, optim, lr, cfg.betas, cfg.weight_decay)
-            terms.append(batch_terms)
-        record(params, epoch + 1, terms, lr)
+    try:
+        if initial_row and start_step == 0:
+            submit(params, 0, [step(params, np.arange(b * bs, (b + 1) * bs), False)[0] for b in range(spe)], 0.0)
+        for epoch in range(start_step // spe, last_epoch):
+            perm = _epoch_perm(cfg.seed, epoch, n)
+            terms = []
+            for b in range(spe):
+                gstep = epoch * spe + b
+                batch_terms, grads = step(params, perm[b * bs : (b + 1) * bs], True)
+                lr = cosine_lr(gstep, total_steps, warmup_steps, cfg.base_lr)
+                params, optim = adamw_step(params, grads, optim, lr, cfg.betas, cfg.weight_decay)
+                terms.append(batch_terms)
+            submit(params, epoch + 1, terms, lr)
+        settle()
+    except Exception:
+        settle()  # a serial loop meets the error of the row in flight first
+        raise
+    finally:
+        if helper is not None:
+            helper.shutdown()
     return params, rows, optim
 
 
@@ -294,6 +323,63 @@ def adapt_views(image_feats: np.ndarray, cia: AdapterParams | None, cfg: CiaConf
     return flat.reshape(image_feats.shape)
 
 
+def _accuracy_check(splits, hidden: int, cfg: CiaConfig):
+    """``check(cia)``: ``batched_contrastive_accuracy(adapt_views(images, cia,
+    cfg), texts)`` of each (n, m, d) image / (n, d) text split, bit for bit, in
+    work buffers built here once, calling nothing perfbench traces (its tracer
+    keeps one span stack). Weights are checked on every call, the hidden layer
+    and blend only under ``numkit.matmul``'s overflow bound."""
+    d = splits[0][0].shape[2]
+    n_rows = max(images.shape[0] * images.shape[1] for images, _ in splits)
+    # the scores reuse the blend's buffer once its rows are stacked, and the hidden layer the spare one
+    bufs = [np.empty(n_rows * width) for width in (max(d, ACCURACY_BATCH), max(d, hidden), 1)]
+    prepared = []
+    for images, texts in splits:
+        n, m, _ = images.shape
+        size = min(ACCURACY_BATCH, n)
+        if size < 2:
+            raise ConfigError("contrastive_accuracy needs at least two pairs")
+        k = n // size
+        x, x_max = nk._checked(images.reshape(-1, d), "image features")
+        txt_t = nk.as_f64(texts[: k * size], "text features").reshape(k, size, d).transpose(0, 2, 1)
+        views = [(0, n * m, d), (1, n * m, hidden), (1, n * m, d), (2, n * m, 1), (0, m, k, size, size)]
+        blend, hid, spare, norms, scores = (bufs[i][: math.prod(s)].reshape(s) for i, *s in views)
+        # the adapted rows of the whole batches, view-major as batched_contrastive_accuracy stacks them
+        batches = blend.reshape(n, m, d)[: k * size].reshape(k, size, m, d).transpose(2, 0, 1, 3)
+        stack = spare.reshape(-1)[: batches.size].reshape(batches.shape)
+        prepared.append((x, x_max, txt_t, blend, hid, spare, norms, batches, stack, scores))
+
+    def check(cia: AdapterParams) -> list[float]:
+        w1, w1_max = nk._checked(cia.w1, "cia w1")
+        w2, w2_max = nk._checked(cia.w2, "cia w2")
+        accs = []
+        for x, x_max, txt_t, blend, hid, spare, norms, batches, stack, scores in prepared:
+            np.matmul(x, w1, out=hid)
+            if not d * x_max * w1_max < nk.OVERFLOW_SAFE:
+                nk._finite_out(hid, "cia hidden layer")
+            np.maximum(hid, 0.0, out=hid)
+            np.matmul(hid, w2, out=blend)
+            blend *= cfg.alpha
+            blend += np.multiply(1.0 - cfg.alpha, x, out=spare)
+            if not hidden * d * x_max * w1_max * w2_max + x_max < nk.OVERFLOW_SAFE:
+                nk._finite_out(blend, "cia blend")
+            # np.linalg.norm's own steps, then l2_normalize's
+            np.sqrt(np.add.reduce(np.multiply(blend, blend, out=spare), axis=1, keepdims=True, out=norms), out=norms)
+            if norms.min() <= nk.NORM_EPS:
+                raise DegenerateVectorError(f"cannot normalize: norm <= {nk.NORM_EPS}")
+            blend /= norms
+            np.copyto(stack, batches)
+            np.matmul(stack, txt_t, out=scores)  # each view's batches against the same text batches
+            flat = scores.reshape(-1, *scores.shape[2:])  # contrastive_accuracy's score from here
+            on_diag = range(flat.shape[1])
+            diag = np.diagonal(flat, axis1=1, axis2=2).copy()
+            flat[:, on_diag, on_diag] = -np.inf
+            accs.append(float(np.mean((diag > flat.max(axis=2)).mean(axis=1))))
+        return accs
+
+    return check
+
+
 def views_count(data: TripletSet, views_limit: int | None) -> int:
     m = data.spec.views if views_limit is None else views_limit
     if not 1 <= m <= data.spec.views:
@@ -317,11 +403,10 @@ def train_stage1(
     splits = [(data.image_feats[idx], data.text_feats[idx]) for idx in map(data.indices, (PRETRAIN, EVAL_HELDOUT))]
     imgs = splits[0][0].reshape(-1, data.spec.feature_dim)
     txts = np.repeat(splits[0][1], data.spec.views, axis=0)
-    cia_cfg = CiaConfig(cfg.alpha)
+    check = _accuracy_check(splits, cia.w1.shape[1], CiaConfig(cfg.alpha))
 
     def on_epoch(params, means):
-        cur = blocks_to_model(params)[0]
-        pre, held = (batched_contrastive_accuracy(adapt_views(im, cur, cia_cfg), tx) for im, tx in splits)
+        pre, held = check(blocks_to_model(params)[0])
         return {**means, "acc_pretrain": pre, "acc_heldout": held}
 
     step = stage1_step(imgs, txts, cfg)
@@ -441,6 +526,12 @@ def load_checkpoint(path) -> Checkpoint:
     blocks = {k: v for k, v in named.items() if not k.startswith("optim.")}
     m = {k.split(":", 1)[1]: v for k, v in named.items() if k.startswith("optim.m:")}
     v = {k.split(":", 1)[1]: v for k, v in named.items() if k.startswith("optim.v:")}
+    # a damaged file, not a missing stage: an unknown block, or a model part cut short
+    if named.keys() - _CKPT_NAMES:
+        raise FormatError(f"checkpoint block {min(named.keys() - _CKPT_NAMES)!r} is not a model block")
+    for _, names in _BLOCK_LAYOUT:
+        if names.keys() & blocks.keys() and not names.keys() <= blocks.keys():
+            raise FormatError(f"checkpoint block {min(names.keys() - blocks.keys())!r} is missing from its part")
     try:
         step = int(meta["step"])
         cfg = config_from_meta(meta)
@@ -456,6 +547,7 @@ _BLOCK_LAYOUT = tuple(
     (cls, {f"{part}.{f.name}": f.name for f in fields(cls)})
     for part, cls in zip(("cia", "pe", "iaa", "taa"), (AdapterParams, PointEncoderParams, AdapterParams, AdapterParams))
 )
+_CKPT_NAMES = frozenset(pre + name for pre in ("", "optim.m:", "optim.v:") for _, names in _BLOCK_LAYOUT for name in names)
 
 
 def model_blocks(

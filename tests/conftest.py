@@ -1,9 +1,10 @@
 import contextlib
 import functools
+import os
 
 import pytest
 
-from tamm import gradcheck, train
+from tamm import encoders, gradcheck, train
 
 
 @pytest.fixture
@@ -38,5 +39,18 @@ def stop_after(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(train, "_fit", functools.partial(train._fit, stop_after_epochs=epochs))
             yield
+
+    return use
+
+
+@pytest.fixture
+def lane_inputs(monkeypatch):
+    """``lane_inputs(cpus, blas=1)`` sets what ``encoders._lane_count`` reads:
+    the thread count BLAS reports (None: no BLAS to ask) and ``cpus`` CPUs."""
+
+    def use(cpus, blas=1):
+        getter = None if blas is None else lambda: blas
+        monkeypatch.setattr(encoders, "_openblas_get_num_threads", lambda: getter)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
     return use

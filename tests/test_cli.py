@@ -315,7 +315,19 @@ class TestMalformedInput:
                                 struct.pack("<I", len(name)) + b"pe.hea_")
         assert main(["eval", "--task", "zeroshot", "--ckpt", str(bad), "--data", str(workdir / "data.bin")]) == 4
         err = capsys.readouterr().err
-        assert "lacks the point encoder" in err and "Traceback" not in err
+        assert "checkpoint block 'pe.hea_' is not a model block" in err and "Traceback" not in err
+
+    def test_cia_checkpoint_missing_one_block_exit_4(self, workdir, tmp_path, capsys):
+        # a stage-1 checkpoint that lost cia.w2 is damaged, not a checkpoint without a cia
+        ck = load_checkpoint(workdir / "s1.ckpt")
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, {"cia.w1": ck.blocks["cia.w1"]}, ck.optim, ck.config, ck.optim.step)
+        argv = ["pretrain", "--stage", "2", "--data", str(workdir / "data.bin"), "--cia", str(bad),
+                "--out", str(tmp_path / "out.ckpt"), "--seed", "0", *SMALL, *FAST_TRAIN]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "checkpoint block 'cia.w2' is missing from its part" in err and "Traceback" not in err
+        assert not (tmp_path / "out.ckpt").exists()
 
     def test_dataset_header_fails_spec_validation_exit_4(self, workdir, tmp_path, capsys):
         blob = bytearray((workdir / "data.bin").read_bytes())

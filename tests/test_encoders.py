@@ -355,22 +355,14 @@ class _CountingThread(threading.Thread):
 
 
 @pytest.fixture
-def lanes(monkeypatch):
-    """Sets the lane rule's inputs, the thread count BLAS reports (None: no
-    BLAS to ask) and ``cpus`` CPUs, and counts the threads the encoder
-    starts. Threads switch every microsecond, so lanes interleave as finely
-    as they can."""
+def lanes(monkeypatch, lane_inputs):
+    """``lane_inputs``, counting the threads the encoder starts. Threads
+    switch every microsecond, so lanes interleave as finely as they can."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     monkeypatch.setattr(_CountingThread, "started", 0)
     monkeypatch.setattr(encoders.threading, "Thread", _CountingThread)
-
-    def use(cpus, blas=1):
-        getter = None if blas is None else lambda: blas
-        monkeypatch.setattr(encoders, "_openblas_get_num_threads", lambda: getter)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-    yield use
+    yield lane_inputs
     sys.setswitchinterval(interval)
 
 

@@ -1,16 +1,19 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tamm.adapters import CiaConfig, init_adapter
-from tamm.datagen import PRETRAIN, DatasetSpec, generate
+from tamm import train
+from tamm.adapters import AdapterParams, CiaConfig, init_adapter
+from tamm.datagen import EVAL_HELDOUT, PRETRAIN, DatasetSpec, batched_contrastive_accuracy, generate
 from tamm.encoders import init_point_encoder
-from tamm.errors import ConfigError, FormatError, IncompatibilityError, ShapeError
+from tamm.errors import ConfigError, DegenerateVectorError, FormatError, IncompatibilityError, ShapeError
 from tamm.train import (
     ADAM_EPS,
     Checkpoint,
@@ -192,6 +195,135 @@ class TestStage1:
             assert b < a
 
 
+def _unit_rows(rng, *shape):
+    x = rng.standard_normal(shape)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+class TestAccuracyCheck:
+    """``_accuracy_check`` against ``batched_contrastive_accuracy(adapt_views(...))``."""
+
+    @staticmethod
+    def reference(splits, cia, cfg):
+        return [batched_contrastive_accuracy(adapt_views(im, cia, cfg), tx) for im, tx in splits]
+
+    def test_dataset_splits(self, data):
+        # fewer than 64 samples in each split: one short batch per view
+        splits = [(data.image_feats[idx], data.text_feats[idx]) for idx in map(data.indices, (PRETRAIN, EVAL_HELDOUT))]
+        assert all(len(tx) < 64 for _, tx in splits)
+        d, cfg = data.spec.feature_dim, CiaConfig(0.2)
+        check = train._accuracy_check(splits, d // 2, cfg)
+        for seed in (0, 1):
+            cia = init_adapter(d, d // 2, seed, "dual")
+            assert check(cia) == self.reference(splits, cia, cfg)
+
+    @pytest.mark.parametrize("views", [1, 4])
+    def test_dropped_partial_batch(self, views):
+        # 1,000 samples are 15 batches of 64 and 40 dropped; the smaller split reuses the larger one's buffers
+        rng = np.random.default_rng(views)
+        d, h, cfg = 16, 8, CiaConfig(0.3)
+        splits = [(_unit_rows(rng, n, views, d), _unit_rows(rng, n, d)) for n in (130, 1000, 70)]
+        check = train._accuracy_check(splits, h, cfg)
+        for seed in (0, 1):
+            cia = init_adapter(d, h, seed, "dual")
+            assert check(cia) == self.reference(splits, cia, cfg)
+
+    def test_row_sent_to_zero_raises_in_both(self):
+        rng = np.random.default_rng(5)
+        d, h, cfg = 16, 8, CiaConfig(1.0)
+        splits = [(_unit_rows(rng, 100, 2, d), _unit_rows(rng, 100, d))]
+        # alpha 1 keeps only the correction, and every hidden unit of the first row is negative
+        cia = AdapterParams(-np.outer(splits[0][0][0, 0], np.ones(h)), rng.standard_normal((h, d)))
+        with pytest.raises(DegenerateVectorError):
+            self.reference(splits, cia, cfg)
+        with pytest.raises(DegenerateVectorError):
+            train._accuracy_check(splits, h, cfg)(cia)
+
+
+@pytest.fixture
+def row_threads(monkeypatch):
+    """The names of the threads started while the test runs."""
+    started = []
+
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    return started
+
+
+def _failing_after(fn, at: int, exc: BaseException):
+    """``fn``, raising ``exc`` instead on its call number ``at`` (from 0)."""
+    calls = itertools.count()
+
+    def wrapped(*args, **kwargs):
+        if next(calls) == at:
+            raise exc
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+class TestRowsBesideSteps:
+    """Stage 1 with one lane (rows recorded in line) and two (rows recorded on
+    a helper thread beside the next epoch's steps)."""
+
+    CFG = TrainConfig(seed=0, total_epochs=4, warmup_epochs=1, batch_size=8)
+
+    def test_rows_parameters_and_moments_identical(self, data, lane_inputs, stop_after, tmp_path, row_threads):
+        cia, *_ = small_models(data.spec.feature_dim)
+        runs = []
+        for cpus in (1, 2):
+            lane_inputs(cpus)
+            before, started = threading.active_count(), len(row_threads)
+            full = train_stage1(data, cia, self.CFG)
+            with stop_after(2):
+                half = train_stage1(data, cia, self.CFG)
+            path = tmp_path / f"half-{cpus}.ckpt"
+            save_checkpoint(path, model_blocks(half[0]), half[2], self.CFG, half[2].step, extra={"trained_stage": "stage1"})
+            resumed = train_stage1(data, cia, self.CFG, resume=load_checkpoint(path))
+            assert threading.active_count() == before
+            # with two lanes, one helper thread per fit
+            assert len(row_threads) - started == (0 if cpus == 1 else 3)
+            runs.append([(model_blocks(trained), rows, optim) for trained, rows, optim in (full, half, resumed)])
+        for (blocks1, rows1, optim1), (blocks2, rows2, optim2) in zip(*runs):
+            assert repr(rows1) == repr(rows2)
+            assert optim1.step == optim2.step
+            for name in blocks1:
+                for a, b in ((blocks1, blocks2), (optim1.m, optim2.m), (optim1.v, optim2.v)):
+                    assert a[name].tobytes() == b[name].tobytes()
+
+    @pytest.mark.parametrize("next_steps_fail", [False, True])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_row_error_is_raised(self, data, lane_inputs, monkeypatch, cpus, next_steps_fail):
+        # the row of epoch 2 fails; with two lanes it runs beside epoch 3's steps, which may fail too
+        lane_inputs(cpus)
+        build = train._accuracy_check
+        monkeypatch.setattr(
+            train, "_accuracy_check", lambda *args: _failing_after(build(*args), 2, RuntimeError("row of epoch 2"))
+        )
+        if next_steps_fail:
+            steps_per_epoch = data.indices(PRETRAIN).size * data.spec.views // self.CFG.batch_size
+            monkeypatch.setattr(train, "adamw_step", _failing_after(train.adamw_step, 2 * steps_per_epoch, ValueError()))
+        cia, *_ = small_models(data.spec.feature_dim)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="row of epoch 2"):
+            train_stage1(data, cia, self.CFG)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_keyboard_interrupt_from_a_step(self, data, lane_inputs, monkeypatch, cpus):
+        lane_inputs(cpus)
+        monkeypatch.setattr(train, "adamw_step", _failing_after(train.adamw_step, 9, KeyboardInterrupt()))
+        cia, *_ = small_models(data.spec.feature_dim)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            train_stage1(data, cia, self.CFG)
+        assert threading.active_count() == before
+
+
 class TestStage2:
     def test_cia_frozen(self, data):
         cia, pe, iaa, taa = small_models(data.spec.feature_dim)
@@ -346,6 +478,26 @@ class TestCheckpoint:
             load_checkpoint(path)
         path.write_bytes(b"XXXX" + blob[4:])
         with pytest.raises(FormatError, match="magic"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "drop, add, message",
+        [("cia.w2", None, "'cia.w2' is missing from its part"),
+         (None, "cia.w3", "'cia.w3' is not a model block"),
+         (None, "optim.m:cia.w3", "'optim.m:cia.w3' is not a model block")],
+    )
+    def test_damaged_block_set(self, tmp_path, data, drop, add, message):
+        cia, *_ = small_models(data.spec.feature_dim)
+        blocks = model_blocks(cia)
+        optim = OptimState.zeros(blocks)
+        blocks.pop(drop, None)
+        if add == "cia.w3":
+            blocks[add] = cia.w2
+        elif add:
+            optim.m["cia.w3"] = cia.w2
+        path = tmp_path / "damaged.ckpt"
+        save_checkpoint(path, blocks, optim, TrainConfig(), 0)
+        with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
 
     def test_blocks_to_model(self, data):
