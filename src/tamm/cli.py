@@ -118,6 +118,12 @@ def _metrics_path(args) -> str:
 
 
 def cmd_pretrain(args) -> int:
+    given = {"--views": args.views is not None, "--cia": args.cia is not None, "--no-cia": args.no_cia}
+    for flag in {"1": ("--views", "--cia", "--no-cia"), "2": (), "joint": ("--cia", "--no-cia")}[args.stage]:
+        if given[flag]:
+            raise ConfigError(f"{flag} is not used by --stage {args.stage}")
+    if given["--cia"] and given["--no-cia"]:
+        raise ConfigError("--cia and --no-cia exclude each other")
     _, cfg = build_configs(args)
     data = read_triplets(args.data)
     d = data.spec.feature_dim
@@ -184,6 +190,8 @@ def cmd_eval(args) -> int:
         ks = sorted({int(k) for k in args.topk.split(",")})
     except ValueError:
         raise ConfigError(f"-k/--topk expects comma-separated integers, got {args.topk!r}") from None
+    if args.views is not None and not (args.task == "retrieve" and args.query_modality == "image"):
+        raise ConfigError("--views is used only by --task retrieve --query-modality image")
     ck = load_checkpoint(args.ckpt)
     data = read_triplets(args.data)
     cia, encoder, iaa, taa = train.blocks_to_model(ck.blocks)

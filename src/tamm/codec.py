@@ -70,17 +70,16 @@ class FramedReader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def array(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """The next ``shape`` values stored as ``dtype``, widened to float64 or int64."""
+        """The next ``shape`` values stored as ``dtype``, copied at that width in native byte order."""
         if len(shape) > 32:  # numpy's rank limit
             raise FormatError(f"{self.kind} {what} has rank {len(shape)} at byte {self.offset}")
         start, item = self.offset, np.dtype(dtype).itemsize
         values = np.frombuffer(self.take(math.prod(shape) * item, what), dtype=dtype)
-        if values.dtype.kind in "iu":
-            return values.reshape(shape).astype(np.int64)
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise FormatError(f"non-finite {self.kind} {what} value at byte {start + int(np.argmin(finite)) * item}")
-        return values.reshape(shape).astype(np.float64)
+        if values.dtype.kind == "f":
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise FormatError(f"non-finite {self.kind} {what} value at byte {start + int(np.argmin(finite)) * item}")
+        return values.reshape(shape).astype(values.dtype.newbyteorder("="))
 
     def text(self, size: int, what: str) -> str:
         start = self.offset

@@ -52,6 +52,7 @@ INSTANCE_FRACTION = 0.375  # share of latent dims carrying per-sample identity
 GEOM_ANCHORS = 8
 GEOM_BASE_SCALE = 2.0  # separation of the fixed blob template (cube vertices)
 POINT_JITTER = 0.08
+POINT_BLOCK = 64  # clouds generated per float64 block before rounding to f32
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def factor_masks(latent_dim: int, split_ratio: float) -> tuple[np.ndarray, np.nd
 @dataclass
 class TripletSet:
     spec: DatasetSpec
-    points: np.ndarray  # (n, N, 3)
+    points: np.ndarray  # (n, N, 3) float32, as stored; the encoder widens each batch it reads
     image_feats: np.ndarray  # (n, views, d)
     text_feats: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,)
@@ -241,14 +242,20 @@ def generate(spec: DatasetSpec) -> TripletSet:
     corners = np.array([[x, y, w] for x in (-1, 1) for y in (-1, 1) for w in (-1, 1)], dtype=np.float64)
     bases = GEOM_BASE_SCALE * corners[np.arange(GEOM_ANCHORS) % 8]
     centers = bases + ((latents * vis) @ geo).reshape(n, GEOM_ANCHORS, 3)
-    # built in place: the scaled jitter plus the centre of each point's blob,
-    # point p sitting on blob p % GEOM_ANCHORS
+    # the scaled jitter plus the centre of each point's blob, point p sitting
+    # on blob p % GEOM_ANCHORS, in float64 per block of clouds; successive
+    # blocks draw what one whole draw would, and storing a block rounds it to
+    # the f32 grid the file holds, so no full-size float64 array is made
     n_pts = spec.points_per_cloud
     whole = n_pts - n_pts % GEOM_ANCHORS
-    points = rng.normal(size=(n, n_pts, 3))
-    points *= POINT_JITTER
-    points[:, :whole].reshape(n, whole // GEOM_ANCHORS, GEOM_ANCHORS, 3)[...] += centers[:, None]
-    points[:, whole:] += centers[:, : n_pts - whole]
+    points = np.empty((n, n_pts, 3), np.float32)
+    for lo in range(0, n, POINT_BLOCK):
+        block = rng.normal(size=points[lo : lo + POINT_BLOCK].shape)
+        block *= POINT_JITTER
+        near = centers[lo : lo + POINT_BLOCK]
+        block[:, :whole].reshape(len(block), whole // GEOM_ANCHORS, GEOM_ANCHORS, 3)[...] += near[:, None]
+        block[:, whole:] += near[:, : n_pts - whole]
+        points[lo : lo + POINT_BLOCK] = block
 
     text_feats = frozen_text_embed(latents * sem, enc)
     unshifted = np.stack([frozen_image_embed(latents * vis, k, enc) for k in range(m)], axis=1)
@@ -263,7 +270,7 @@ def generate(spec: DatasetSpec) -> TripletSet:
 
     return TripletSet(
         spec=replace(spec, shift_strength=strength),
-        points=_quantize32(points),
+        points=points,
         image_feats=_quantize32(image_feats),
         text_feats=_quantize32(text_feats),
         labels=labels.astype(np.int64),
@@ -298,10 +305,10 @@ def read_triplets(path) -> TripletSet:
         raise FormatError(f"dataset header at byte {header_at}: {exc}") from None
     n, views, d = spec.n_samples, spec.views, spec.feature_dim
     points = reader.array("<f4", (n, spec.points_per_cloud, 3), "points")
-    image_feats = reader.array("<f4", (n, views, d), "image features")
-    text_feats = reader.array("<f4", (n, d), "text features")
+    image_feats = reader.array("<f4", (n, views, d), "image features").astype(np.float64)
+    text_feats = reader.array("<f4", (n, d), "text features").astype(np.float64)
     labels_at = reader.offset
-    labels = reader.array("<u4", (n,), "labels")
+    labels = reader.array("<u4", (n,), "labels").astype(np.int64)
     reader.finish()
     outside = np.flatnonzero(labels >= spec.classes)
     if outside.size:

@@ -263,7 +263,8 @@ def _in_lanes(n_tasks: int, lanes: int, run) -> None:
 
 
 def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradPair:
-    """Unit-norm features of a (B,N,3) batch of clouds.
+    """Unit-norm features of a (B,N,3) batch of clouds, float32 or float64;
+    the batch is widened to float64, so both give the same bits.
 
     Per-point MLP 3 -> h -> h with relu, pooled by concatenated mean and max
     over points, projected 2h -> d, then row-normalized. Exactly permutation

@@ -382,7 +382,9 @@ def _accuracy_check(splits, hidden: int, cfg: CiaConfig):
 
 def views_count(data: TripletSet, views_limit: int | None) -> int:
     m = data.spec.views if views_limit is None else views_limit
-    if not 1 <= m <= data.spec.views:
+    if m < 1:
+        raise ConfigError(f"views must be >= 1, got {m}")
+    if m > data.spec.views:
         raise IncompatibilityError(f"requested {views_limit} views, dataset stores {data.spec.views}")
     return m
 

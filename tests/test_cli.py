@@ -173,6 +173,34 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert "9" in err and "2" in err
 
+    @pytest.mark.parametrize("views", ["0", "-1"])
+    def test_views_below_one_exit_2(self, workdir, capsys, views):
+        rc = main(
+            ["pretrain", "--stage", "2", "--no-cia", "--views", views, "--data", str(workdir / "data.bin"),
+             "--out", str(workdir / "v.ckpt"), "--seed", "0", *SMALL, *FAST_TRAIN]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: views must be >= 1, got {views}"]
+
+    @pytest.mark.parametrize(
+        "stage, flags, named",
+        [
+            ("1", ["--views", "1"], "--views is not used by --stage 1"),
+            ("1", ["--cia", "s1.ckpt"], "--cia is not used by --stage 1"),
+            ("1", ["--no-cia"], "--no-cia is not used by --stage 1"),
+            ("joint", ["--cia", "s1.ckpt"], "--cia is not used by --stage joint"),
+            ("joint", ["--no-cia"], "--no-cia is not used by --stage joint"),
+            ("2", ["--no-cia", "--cia", "s1.ckpt"], "--cia and --no-cia exclude each other"),
+        ],
+        ids=["stage1-views", "stage1-cia", "stage1-no-cia", "joint-cia", "joint-no-cia", "cia-and-no-cia"],
+    )
+    def test_unread_flag_exit_2(self, tmp_path, capsys, stage, flags, named):
+        # refused before any artifact is read: neither the data nor the cia exists
+        argv = ["pretrain", "--stage", stage, *flags, "--data", str(tmp_path / "no.bin"), "--out", str(tmp_path / "x.ckpt")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {named}"]
+        assert not (tmp_path / "x.ckpt").exists()
+
     @pytest.mark.parametrize("stage", ["1", "2", "joint"])
     def test_resume_matches_uninterrupted(self, workdir, tmp_path, stop_after, stage):
         run = ["pretrain", "--stage", stage, "--data", str(workdir / "data.bin"), "--seed", "0", *SMALL, *FAST_TRAIN]
@@ -434,10 +462,22 @@ class TestEval:
         assert err.splitlines() == [f"config error: retrieval k must be >= 1 and at most the gallery size {5 * 26}, got 100000"]
         assert "Warning" not in err
 
-    def test_retrieve_zero_views_exit_4(self, workdir, capsys):
+    @pytest.mark.parametrize("views", ["0", "-1"])
+    def test_retrieve_views_below_one_exit_2(self, workdir, capsys, views):
         base = ["--ckpt", str(workdir / "s2.ckpt"), "--data", str(workdir / "data.bin"), "--split", "all"]
-        assert main(["eval", "--task", "retrieve", "--query-modality", "image", "--query-index", "3", "--views", "0", *base]) == 4
-        assert "requested 0 views" in capsys.readouterr().err
+        assert main(["eval", "--task", "retrieve", "--query-modality", "image", "--query-index", "3", "--views", views, *base]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: views must be >= 1, got {views}"]
+
+    @pytest.mark.parametrize(
+        "task", [["--task", "zeroshot"], ["--task", "linear"], ["--task", "fewshot"], ["--task", "retrieve"]],
+        ids=["zeroshot", "linear", "fewshot", "retrieve-text"],
+    )
+    def test_views_outside_image_retrieval_exit_2(self, tmp_path, capsys, task):
+        # refused before either artifact is read: neither path exists
+        argv = ["eval", *task, "--views", "1", "--ckpt", str(tmp_path / "no.ckpt"), "--data", str(tmp_path / "no.bin")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: --views is used only by --task retrieve --query-modality image"]
 
     def test_dim_mismatch_exit_4(self, workdir, tmp_path, capsys):
         other = tmp_path / "other.bin"

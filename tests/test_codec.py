@@ -31,7 +31,9 @@ class TestFraming:
         write_framed(path, b"TEST", 3, [b"\x02\x00\x00\x00", np.array([1.5, -2.0], dtype="<f4"), b"hi"])
         reader = FramedReader(path, b"TEST", 3, "test file")
         (n,) = reader.unpack("<I", "count")
-        np.testing.assert_array_equal(reader.array("<f4", (n,), "values"), [1.5, -2.0])
+        values = reader.array("<f4", (n,), "values")
+        np.testing.assert_array_equal(values, [1.5, -2.0])
+        assert values.dtype == np.float32 and values.flags.writeable  # the stored width, in a copy
         assert reader.text(2, "tail") == "hi"
         reader.finish()
         reader = FramedReader(path, b"TEST", 3, "test file")

@@ -293,6 +293,23 @@ class TestFusedEncoderMatchesReference:
             np.testing.assert_array_equal(have, want)
             np.testing.assert_array_equal(np.signbit(have), np.signbit(want))
 
+    @pytest.mark.parametrize("want_grads", [False, True])
+    @pytest.mark.parametrize("case", ["duplicate-points", "partial-last-group-odd-points", "datagen-128x256"])
+    def test_float32_clouds_give_the_float64_bits(self, case, want_grads):
+        make, hidden, out_dim = FUSED_CASES[case]
+        narrow = np.asarray(make(), dtype=np.float32)
+        params = init_point_encoder(hidden, out_dim, 1)
+        wide, got = encode_points(narrow.astype(np.float64), params, want_grads), encode_points(narrow, params, want_grads)
+        outs = [(wide.value, got.value)]
+        if want_grads:
+            g = np.random.default_rng(21).normal(size=wide.value.shape)
+            outs += zip(wide.backward(g), got.backward(g))
+        else:
+            assert got.backward is None
+        for want, have in outs:
+            np.testing.assert_array_equal(have, want)
+            np.testing.assert_array_equal(np.signbit(have), np.signbit(want))
+
 
 def _overflow_case(case):
     h = 4

@@ -354,6 +354,9 @@ class TestStage2:
         train_stage2(data, cia, pe, iaa, taa, cfg, views_limit=1)
         with pytest.raises(IncompatibilityError):
             train_stage2(data, cia, pe, iaa, taa, cfg, views_limit=99)
+        for below_one in (0, -1):
+            with pytest.raises(ConfigError, match=f"views must be >= 1, got {below_one}"):
+                train_stage2(data, cia, pe, iaa, taa, cfg, views_limit=below_one)
 
     def test_no_cia_path(self, data):
         _, pe, iaa, taa = small_models(data.spec.feature_dim)
@@ -535,6 +538,7 @@ class TestMetricsCsv:
 # encoder's lanes, two (on two CPUs) do not, so the runs also compare lanes.
 _HASH_RUNS = """
 import hashlib
+import numpy as np
 from tamm.adapters import init_adapter
 from tamm.datagen import DatasetSpec, generate
 from tamm.encoders import init_point_encoder
@@ -542,7 +546,7 @@ from tamm.train import TrainConfig, model_blocks, train_onestage, train_stage1, 
 
 data = generate(DatasetSpec(seed=1, classes=5, samples_per_class=26, heldout_classes=2, views=2, points_per_cloud=64))
 h = hashlib.sha256(repr(data.spec.shift_strength).encode())
-for arr in (data.points, data.image_feats, data.text_feats, data.labels):
+for arr in (np.asarray(data.points, dtype=np.float64), data.image_feats, data.text_feats, data.labels):
     h.update(arr.tobytes())
 print("dataset", h.hexdigest())
 d = data.spec.feature_dim
