@@ -24,7 +24,7 @@ import numpy as np
 
 from . import datagen, evaluate, train
 from . import numkit as nk
-from .adapters import CiaConfig, init_adapter
+from .adapters import AdapterParams, CiaConfig, init_adapter
 from .codec import parse_value
 from .datagen import DatasetSpec, read_triplets, write_triplets
 from .encoders import init_point_encoder
@@ -117,6 +117,30 @@ def _metrics_path(args) -> str:
     return args.metrics if args.metrics else args.out + ".metrics.csv"
 
 
+def _cia_bits(blocks: dict[str, np.ndarray]) -> dict[str, tuple]:
+    return {name: (block.shape, block.tobytes()) for name, block in blocks.items() if name.startswith("cia.")}
+
+
+def _stage2_cia(args, d: int, resume) -> AdapterParams | None:
+    """Stage 2's frozen cia: the --cia checkpoint's, or None under --no-cia.
+
+    A stage-2 checkpoint holds cia blocks iff its run used --cia, so a resumed
+    fit must go on against the cia it began with, bit for bit. A resume
+    checkpoint of another stage is refused by the training call.
+    """
+    cia = None
+    if not args.no_cia:
+        cia = train.blocks_to_model(load_checkpoint(args.cia).blocks)[0]
+        if cia is None:
+            raise IncompatibilityError(f"{args.cia} holds no cia parameters")
+        if cia.w1.shape[0] != d:
+            raise IncompatibilityError(f"cia feature dim {cia.w1.shape[0]} vs dataset feature dim {d}")
+    stage2_resume = resume is not None and resume.meta.get("trained_stage") == "stage2"
+    if stage2_resume and _cia_bits(resume.blocks) != _cia_bits(train.model_blocks(cia)):
+        raise IncompatibilityError(f"resume checkpoint was fit against another cia than {args.cia or '--no-cia'}")
+    return cia
+
+
 def cmd_pretrain(args) -> int:
     given = {"--views": args.views is not None, "--cia": args.cia is not None, "--no-cia": args.no_cia}
     for flag in {"1": ("--views", "--cia", "--no-cia"), "2": (), "joint": ("--cia", "--no-cia")}[args.stage]:
@@ -124,48 +148,31 @@ def cmd_pretrain(args) -> int:
             raise ConfigError(f"{flag} is not used by --stage {args.stage}")
     if given["--cia"] and given["--no-cia"]:
         raise ConfigError("--cia and --no-cia exclude each other")
+    if args.stage == "2" and not (given["--cia"] or given["--no-cia"]):
+        raise ConfigError("--stage 2 needs --cia <stage-1 checkpoint> or --no-cia")
     _, cfg = build_configs(args)
     data = read_triplets(args.data)
+    resume = load_checkpoint(args.resume) if args.resume else None
+    run_id = _run_id("pretrain", args.stage, str(cfg), str(data.spec))
     d = data.spec.feature_dim
     adapter_hidden = max(1, d // 2)
-    resume = None
-    if args.resume:
-        resume = load_checkpoint(args.resume)
-    run_id = _run_id("pretrain", args.stage, str(cfg), str(data.spec))
+    cia = init_adapter(d, adapter_hidden, cfg.seed + 101, "cia")
+    encoder = init_point_encoder(POINT_ENCODER_HIDDEN, d, cfg.seed + 202)
+    iaa = init_adapter(d, adapter_hidden, cfg.seed + 303, "dual")
+    taa = init_adapter(d, adapter_hidden, cfg.seed + 404, "dual")
 
     if args.stage == "1":
-        cia = init_adapter(d, adapter_hidden, cfg.seed + 101, "cia")
-        cia, rows, optim = train.train_stage1(data, cia, cfg, resume=resume)
-        blocks, extra = train.model_blocks(cia), {"trained_stage": "stage1"}
-    else:
-        cia = None
-        if args.stage == "2" and not args.no_cia:
-            if not args.cia:
-                print("stage 2 needs --cia <stage-1 checkpoint> (or --no-cia)", file=sys.stderr)
-                return EXIT_MISSING
-            cia, _, _, _ = train.blocks_to_model(load_checkpoint(args.cia).blocks)
-            if cia is None:
-                raise IncompatibilityError(f"{args.cia} holds no cia parameters")
-            if cia.w1.shape[0] != d:
-                raise IncompatibilityError(
-                    f"cia feature dim {cia.w1.shape[0]} vs dataset feature dim {d}"
-                )
-        encoder = init_point_encoder(POINT_ENCODER_HIDDEN, d, cfg.seed + 202)
-        iaa = init_adapter(d, adapter_hidden, cfg.seed + 303, "dual")
-        taa = init_adapter(d, adapter_hidden, cfg.seed + 404, "dual")
-        if args.stage == "2":
-            encoder, iaa, taa, rows, optim = train.train_stage2(
-                data, cia, encoder, iaa, taa, cfg, resume=resume, views_limit=args.views
-            )
-            extra = {"trained_stage": "stage2", "no_cia": str(int(args.no_cia))}
-        else:  # joint
-            cia = init_adapter(d, adapter_hidden, cfg.seed + 101, "cia")
-            cia, encoder, iaa, taa, rows, optim = train.train_onestage(
-                data, cia, encoder, iaa, taa, cfg, views_limit=args.views, resume=resume
-            )
-            extra = {"trained_stage": "joint"}
-        blocks = train.model_blocks(cia, encoder, iaa, taa)
-    save_checkpoint(args.out, blocks, optim, cfg, optim.step, extra=extra)
+        *parts, rows, optim = train.train_stage1(data, cia, cfg, resume=resume)
+        extra = {"trained_stage": "stage1"}
+    elif args.stage == "2":
+        cia = _stage2_cia(args, d, resume)
+        *trained, rows, optim = train.train_stage2(data, cia, encoder, iaa, taa, cfg, resume, args.views)
+        parts = [cia, *trained]
+        extra = {"trained_stage": "stage2", "no_cia": str(int(args.no_cia))}
+    else:  # joint
+        *parts, rows, optim = train.train_onestage(data, cia, encoder, iaa, taa, cfg, resume, args.views)
+        extra = {"trained_stage": "joint"}
+    save_checkpoint(args.out, train.model_blocks(*parts), optim, cfg, optim.step, extra=extra)
     train.write_metrics_csv(rows, _metrics_path(args), run_id)
     if rows:  # empty when resuming a finished run
         last = rows[-1]

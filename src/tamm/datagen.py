@@ -305,10 +305,10 @@ def read_triplets(path) -> TripletSet:
         raise FormatError(f"dataset header at byte {header_at}: {exc}") from None
     n, views, d = spec.n_samples, spec.views, spec.feature_dim
     points = reader.array("<f4", (n, spec.points_per_cloud, 3), "points")
-    image_feats = reader.array("<f4", (n, views, d), "image features").astype(np.float64)
-    text_feats = reader.array("<f4", (n, d), "text features").astype(np.float64)
+    image_feats = reader.array("<f4", (n, views, d), "image features", np.float64)
+    text_feats = reader.array("<f4", (n, d), "text features", np.float64)
     labels_at = reader.offset
-    labels = reader.array("<u4", (n,), "labels").astype(np.int64)
+    labels = reader.array("<u4", (n,), "labels", np.int64)
     reader.finish()
     outside = np.flatnonzero(labels >= spec.classes)
     if outside.size:

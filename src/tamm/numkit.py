@@ -116,35 +116,20 @@ def gelu(x) -> GradPair:
     # past this bound the cubic overflows to inf and tanh saturates to the
     # exact +-1; the overflow (and, backward, the inf * 0) is expected there
     huge = not x_max * x_max * x_max < OVERFLOW_SAFE
-    # in-place staging: this op dominates the training profile
     with _quiet(huge):
         sq = arr * arr
-        t = sq * arr
-        t *= GELU_CUBIC
-        t += arr
-        t *= _SQRT_2_OVER_PI
-        np.tanh(t, out=t)
-    out = 1.0 + t
-    out *= arr
-    out *= 0.5
-    out = _finite_out(out, "gelu")
+        t = np.tanh((sq * arr * GELU_CUBIC + arr) * _SQRT_2_OVER_PI)
+    out = _finite_out((1.0 + t) * arr * 0.5, "gelu")
 
     def backward(g):
         gm = _check_grad_shape(g, out.shape, "gelu")
         with _quiet(huge):
-            d_inner = sq * (3.0 * GELU_CUBIC)
-            d_inner += 1.0
-            d_inner *= _SQRT_2_OVER_PI
-            d_inner *= arr
-            d_inner *= 1.0 - t * t
+            d_inner = (sq * (3.0 * GELU_CUBIC) + 1.0) * _SQRT_2_OVER_PI * arr * (1.0 - t * t)
         if huge:
             # where the cubic overflowed, tanh saturates and inf * 0 left nan;
             # zero leaves 0.5 * (1 + t), the exact limits 1 and 0 of the slope
             d_inner[np.isnan(d_inner)] = 0.0
-        d_inner += 1.0 + t
-        d_inner *= 0.5
-        d_inner *= gm
-        return (d_inner,)
+        return ((d_inner + (1.0 + t)) * 0.5 * gm,)
 
     return GradPair(out, backward)
 

@@ -121,12 +121,16 @@ class TestDatagen:
 
 
 class TestPretrain:
-    def test_stage2_without_cia_flag_exit_3(self, workdir, capsys):
-        rc = main(
-            ["pretrain", "--stage", "2", "--data", str(workdir / "data.bin"), "--out", str(workdir / "x.ckpt"),
-             "--seed", "0", *SMALL, *FAST_TRAIN]
-        )
-        assert rc == 3
+    @pytest.mark.parametrize("data", ["present", "missing"])
+    def test_stage2_without_cia_flag_exit_2(self, workdir, tmp_path, capsys, data):
+        # refused before any artifact is read, so a missing --data is not what it names
+        path = workdir / "data.bin" if data == "present" else tmp_path / "no.bin"
+        out = tmp_path / "x.ckpt"
+        argv = ["pretrain", "--stage", "2", "--data", str(path), "--out", str(out), "--seed", "0", *SMALL, *FAST_TRAIN]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: --stage 2 needs --cia <stage-1 checkpoint> or --no-cia"]
+        assert not out.exists()
 
     def test_stage2_no_cia_runs(self, workdir):
         out = workdir / "nocia.ckpt"
@@ -218,6 +222,29 @@ class TestPretrain:
         assert main([*run, "--out", str(resumed), "--resume", str(full)]) == 0
         assert resumed.read_bytes() == full.read_bytes()
 
+    @pytest.mark.parametrize("case", ["cia-resumed-as-no-cia", "no-cia-resumed-with-cia", "cia-of-another-seed"])
+    def test_stage2_resume_against_another_cia_exit_4(self, workdir, tmp_path, stop_after, capsys, case):
+        # a half-done stage-2 fit may not go on against other frozen targets
+        data = str(workdir / "data.bin")
+        with_cia, other_cia = ["--cia", str(workdir / "s1.ckpt")], ["--cia", str(tmp_path / "other-s1.ckpt")]
+        fitted_with, resumed_with = {
+            "cia-resumed-as-no-cia": (with_cia, ["--no-cia"]),
+            "no-cia-resumed-with-cia": (["--no-cia"], with_cia),
+            "cia-of-another-seed": (with_cia, other_cia),
+        }[case]
+        if resumed_with is other_cia:
+            stage1 = ["pretrain", "--stage", "1", "--data", data, "--out", other_cia[1], "--seed", "1"]
+            assert main([*stage1, *SMALL, *FAST_TRAIN]) == 0
+        run = ["pretrain", "--stage", "2", "--data", data, "--seed", "0", *SMALL, *FAST_TRAIN]
+        half, out = tmp_path / "half.ckpt", tmp_path / "out.ckpt"
+        with stop_after(1):
+            assert main([*run, *fitted_with, "--out", str(half)]) == 0
+        capsys.readouterr()
+        assert main([*run, *resumed_with, "--resume", str(half), "--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"incompatible artifacts: resume checkpoint was fit against another cia than {resumed_with[-1]}"
+        ]
+        assert not out.exists() and not (tmp_path / "out.ckpt.metrics.csv").exists()
 
 def edited_checkpoint(src, dst, old: bytes, new: bytes):
     """Copy a checkpoint with one edit: inside the meta block (its length prefix
