@@ -160,6 +160,14 @@ def cmd_pretrain(args) -> int:
     encoder = init_point_encoder(POINT_ENCODER_HIDDEN, d, cfg.seed + 202)
     iaa = init_adapter(d, adapter_hidden, cfg.seed + 303, "dual")
     taa = init_adapter(d, adapter_hidden, cfg.seed + 404, "dual")
+    if args.stage != "1":
+        # a resumed stage-2 or joint fit must go on over the views it began
+        # with; a resume checkpoint of another stage is refused by the training call
+        views = str(train.views_count(data, args.views))
+        stage = "stage2" if args.stage == "2" else "joint"
+        if resume is not None and resume.meta.get("trained_stage") == stage and resume.meta.get("views") != views:
+            fitted = resume.meta.get("views", "an unrecorded number of")
+            raise IncompatibilityError(f"resume checkpoint was fit on {fitted} views, not {views}")
 
     if args.stage == "1":
         *parts, rows, optim = train.train_stage1(data, cia, cfg, resume=resume)
@@ -168,10 +176,10 @@ def cmd_pretrain(args) -> int:
         cia = _stage2_cia(args, d, resume)
         *trained, rows, optim = train.train_stage2(data, cia, encoder, iaa, taa, cfg, resume, args.views)
         parts = [cia, *trained]
-        extra = {"trained_stage": "stage2", "no_cia": str(int(args.no_cia))}
+        extra = {"trained_stage": "stage2", "no_cia": str(int(args.no_cia)), "views": views}
     else:  # joint
         *parts, rows, optim = train.train_onestage(data, cia, encoder, iaa, taa, cfg, resume, args.views)
-        extra = {"trained_stage": "joint"}
+        extra = {"trained_stage": "joint", "views": views}
     save_checkpoint(args.out, train.model_blocks(*parts), optim, cfg, optim.step, extra=extra)
     train.write_metrics_csv(rows, _metrics_path(args), run_id)
     if rows:  # empty when resuming a finished run

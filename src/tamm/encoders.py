@@ -168,25 +168,52 @@ def init_point_encoder(hidden: int, out_dim: int, seed: int) -> PointEncoderPara
     return PointEncoderParams(w1, w2, head)
 
 
-def _canonical_order(cloud: np.ndarray) -> np.ndarray:
-    # lexicographic point order (x, then y, then z) makes every downstream
-    # reduction independent of the input permutation, bit for bit
-    return np.lexsort((cloud[:, 2], cloud[:, 1], cloud[:, 0]))
+def _canonical_order(clouds: np.ndarray) -> np.ndarray:
+    # each cloud's lexicographic point order (x, then y, then z) as a (G, N)
+    # index array: every downstream reduction is then independent of the input
+    # permutation, bit for bit. Distinct x values have one sorted order, which
+    # is lexsort's, so one argsort of the x column orders the whole group; a
+    # cloud whose sorted x has a tie (-0.0 == 0.0 counting as one) is lexsorted
+    order = np.argsort(clouds[..., 0], axis=1)
+    xs = np.take_along_axis(clouds[..., 0], order, axis=1)
+    for i in np.flatnonzero((xs[:, 1:] == xs[:, :-1]).any(axis=1)):
+        order[i] = np.lexsort((clouds[i, :, 2], clouds[i, :, 1], clouds[i, :, 0]))
+    return order
 
 
-def _tree_sum(x: np.ndarray, spare: np.ndarray) -> np.ndarray:
-    # adjacent-pair balanced reduction over the point axis of a contiguous
-    # (B, N, h) array, level by level between x's buffer and ``spare`` (at
-    # least B*N*h floats), both overwritten: duplicating every point doubles
-    # every partial sum exactly, so pooled means survive duplication bitwise
-    n_c, n, h = x.shape
+@functools.cache
+def _tree_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tree layout of n points and its inverse: slot j holds canonical
+    point ``layout[j]``, and canonical point c sits in slot ``inverse[c]``.
+
+    In this layout each level of the adjacent-pair tree sum adds two
+    contiguous halves: on a level of 2k or 2k + 1 entries, slots j and k + j
+    (j < k) hold one of its pairs, entries 2i and 2i + 1, and an odd level's
+    carried last entry sits in its last slot. Built by recursive bit
+    reversal, once per n."""
+    layout = np.full(n, n - 1)
+    if n > 1:
+        k = n // 2
+        evens = 2 * _tree_layout(n - k)[0][:k]
+        layout[:k], layout[k : 2 * k] = evens, evens + 1
+    inverse = np.argsort(layout)
+    layout.flags.writeable = inverse.flags.writeable = False
+    return layout, inverse
+
+
+def _tree_sum(x: np.ndarray) -> np.ndarray:
+    # adjacent-pair balanced reduction over the point axis of a (B, N, h)
+    # array in the tree layout, in place: each level adds its second half
+    # into its first and an odd level copies its carried entry after them.
+    # Duplicating every point doubles every partial sum exactly, so pooled
+    # means survive duplication bitwise
+    n = x.shape[1]
     while n > 1:
-        k, odd = n // 2, n % 2
-        dst = spare.reshape(-1)[: n_c * (k + odd) * h].reshape(n_c, k + odd, h)
-        np.add(x[:, 0 : 2 * k : 2], x[:, 1 : 2 * k : 2], out=dst[:, :k])
-        if odd:
-            dst[:, k] = x[:, -1]
-        spare, x, n = x, dst, k + odd
+        k = n // 2
+        np.add(x[:, :k], x[:, k : 2 * k], out=x[:, :k])
+        if n % 2:
+            x[:, k] = x[:, 2 * k]
+        n -= k
     return x[:, 0]
 
 
@@ -264,7 +291,8 @@ def _in_lanes(n_tasks: int, lanes: int, run) -> None:
 
 def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradPair:
     """Unit-norm features of a (B,N,3) batch of clouds, float32 or float64;
-    the batch is widened to float64, so both give the same bits.
+    each group's points are widened to float64 as they are gathered, so both
+    give the same bits.
 
     Per-point MLP 3 -> h -> h with relu, pooled by concatenated mean and max
     over points, projected 2h -> d, then row-normalized. Exactly permutation
@@ -273,12 +301,21 @@ def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradP
     ``backward`` is None.
 
     The step runs over groups of ``GROUP`` clouds, so each group's hidden
-    layers stay in cache from their products through relu and pooling. The
-    forward's products are row-blocked only, so its result does not depend
-    on the grouping. With ``want_grads``, each group also keeps where its
-    layer 2 is positive, in its rows of one B*N*h bool mask, and each
-    channel's first argmax over points. The kept state belongs to the call,
-    so backward may run more than once and forwards may interleave.
+    layers stay in cache from their products through relu and pooling. Each
+    group is sorted into canonical point order (x, then y, then z) by one
+    argsort of its x column, with a lexsort only for a cloud whose x values
+    tie. Its points are gathered into its lane's buffer in the tree layout
+    of ``_tree_layout``, where each level of the adjacent-pair mean sums two
+    contiguous halves in place. Both layers run a cloud at a time; the
+    products are row-blocked only, so the result depends neither on the
+    grouping nor on the row order.
+
+    Without ``want_grads`` the forward keeps no B*N array. With it, it keeps
+    the canonically ordered points as float64, where layer 2 is positive (one
+    B*N*h bool mask) and each channel's first argmax over points, all in
+    canonical row order, the order backward sums rows in. The kept state
+    belongs to the call, so backward may run more than once and forwards may
+    interleave.
 
     Backward is one pass over the groups, each in its lane's group-sized
     scratch: it recomputes the group's layer 1 (K = 3), bit for bit, builds
@@ -301,7 +338,7 @@ def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradP
     A non-finite hidden layer raises the ``NumericError`` of the first group
     that has one, at every lane count.
     """
-    arr, x_max = nk._checked(clouds, "point cloud")
+    arr, x_max = nk._checked(clouds, "point cloud", keep_f32=True)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ShapeError(f"point clouds must be (B,N,3), got {arr.shape}")
     n_b, n_pts, _ = arr.shape
@@ -310,7 +347,6 @@ def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradP
     w1, w1_max = nk._checked(params.w1, "point encoder w1")
     w2, w2_max = nk._checked(params.w2, "point encoder w2")
     head = nk.as_f64(params.head, "point encoder head")
-    ordered = np.empty_like(arr)
 
     h = params.hidden
     # relu can hide a hidden -inf from the output check (a non-finite pooled
@@ -319,44 +355,58 @@ def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradP
     lin1_bound = 3.0 * x_max * w1_max
     lin2_bound = h * lin1_bound * w2_max
     scan = not (lin1_bound < OVERFLOW_SAFE and lin2_bound < OVERFLOW_SAFE)
-    flat = ordered.reshape(n_b * n_pts, 3)
+    layout, inverse = _tree_layout(n_pts)
     groups = [(lo, min(lo + GROUP, n_b)) for lo in range(0, n_b, GROUP)]
     lanes = _lane_count(len(groups))
-    # two float buffers and a bool mask per lane, so no lane allocates a
-    # buffer per group, forward or backward
+    # a point buffer, two float buffers and a bool mask per lane, so no lane
+    # allocates a buffer per group, forward or backward
     block = min(GROUP, n_b) * n_pts
-    scratch = [(np.empty((block, h)), np.empty((block, h)), np.empty((block, h), bool)) for _ in range(lanes)]
+    scratch = [
+        (np.empty((block, 3)), np.empty((block, h)), np.empty((block, h)), np.empty((block, h), bool))
+        for _ in range(lanes)
+    ]
 
-    def layer1(lo, hi, act1, check):
-        # relu'd layer 1 of clouds lo:hi into act1
-        np.matmul(flat[lo * n_pts : hi * n_pts], w1, out=act1)
+    def layer1(pts, act1, check):
+        # relu'd layer 1 of the point rows ``pts`` into act1
+        np.matmul(pts, w1, out=act1)
         if check:
             nk.as_f64(act1, "point encoder layer 1")
         return np.maximum(act1, 0.0, out=act1)
 
     pooled = np.empty((n_b, 2 * h))
     if want_grads:
+        ordered = np.empty((n_b, n_pts, 3))
         relu2 = np.empty((n_b, n_pts, h), bool)
         amax = np.empty((n_b, h), np.intp)
 
     def forward_group(lane, g):
         lo, hi = groups[g]
         m = (hi - lo) * n_pts
-        buf1, buf2, mask = scratch[lane]
-        for i in range(lo, hi):
-            ordered[i] = arr[i][_canonical_order(arr[i])]
-        np.matmul(layer1(lo, hi, buf1[:m], scan), w2, out=buf2[:m])
+        pts, buf1, buf2, mask = (buf[:m] for buf in scratch[lane])
+        order = _canonical_order(arr[lo:hi])
+        if want_grads:
+            ordered[lo:hi] = np.take_along_axis(arr[lo:hi], order[..., None], axis=1)
+        pts.reshape(hi - lo, n_pts, 3)[...] = np.take_along_axis(arr[lo:hi], order[:, layout, None], axis=1)
+        # both layers a cloud at a time, so layer 1's rows stay in cache
+        for at in range(0, m, n_pts):
+            cloud = slice(at, at + n_pts)
+            np.matmul(layer1(pts[cloud], buf1[:n_pts], scan), w2, out=buf2[cloud])
         if scan:
-            nk.as_f64(buf2[:m], "point encoder layer 2")
-        feats = np.maximum(buf2[:m], 0.0, out=buf2[:m]).reshape(hi - lo, n_pts, h)
-        # the max first: the tree sum overwrites both buffers
+            nk.as_f64(buf2, "point encoder layer 2")
+        feats = np.maximum(buf2, 0.0, out=buf2).reshape(hi - lo, n_pts, h)
+        # the max first: the tree sum overwrites feats
         feats.max(axis=1, out=pooled[lo:hi, h:])
         if want_grads:
-            np.greater(feats, 0.0, out=relu2[lo:hi])
+            # both masks leave the layout for canonical order through the
+            # inverse layout; the argmax's peaks pass through relu2's rows
+            mask = mask.reshape(feats.shape)
+            canonical = relu2[lo:hi]
             # relu outputs hold no nan or -0.0, so this is argmax's first pick
-            peaks = np.equal(feats, pooled[lo:hi, None, h:], out=mask[:m].reshape(feats.shape))
-            peaks.argmax(axis=1, out=amax[lo:hi])
-        np.divide(_tree_sum(feats, buf1), n_pts, out=pooled[lo:hi, :h])
+            peaks = np.equal(feats, pooled[lo:hi, None, h:], out=mask)
+            np.take(peaks, inverse, axis=1, out=canonical, mode="clip")
+            canonical.argmax(axis=1, out=amax[lo:hi])
+            np.take(np.greater(feats, 0.0, out=mask), inverse, axis=1, out=canonical, mode="clip")
+        np.divide(_tree_sum(feats), n_pts, out=pooled[lo:hi, :h])
 
     _in_lanes(len(groups), lanes, forward_group)
     out = nk.l2_normalize(pooled @ head)
@@ -376,16 +426,17 @@ def encode_points(clouds, params: PointEncoderParams, want_grads: bool) -> GradP
         def group_grads(lane, g):
             lo, hi = groups[g]
             m = (hi - lo) * n_pts
-            act1, g_lin, mask = (buf[:m] for buf in scratch[lane])
+            _, act1, g_lin, mask = (buf[:m] for buf in scratch[lane])
+            rows = ordered[lo:hi].reshape(m, 3)
             # the recomputed layer equals the forward's bit for bit: no scan
-            layer1(lo, hi, act1, False)
+            layer1(rows, act1, False)
             # layer 2's gradient into g_lin, then layer 1's over it
             g_feats = _masked(relu2[lo:hi], share[lo:hi], g_lin.reshape(hi - lo, n_pts, h))
             g_feats[np.arange(hi - lo)[:, None], amax[lo:hi], np.arange(h)] = peak[lo:hi]
             g_w2s[g] = nk._t_matmul(act1, g_lin)
             np.greater(act1, 0.0, out=mask)
             g_act1 = np.matmul(g_lin, w2.T, out=act1)  # act1 is spent once its mask is taken
-            g_w1s[g] = nk._t_matmul(flat[lo * n_pts : hi * n_pts], _masked(mask, g_act1, g_lin))
+            g_w1s[g] = nk._t_matmul(rows, _masked(mask, g_act1, g_lin))
 
         _in_lanes(len(groups), lanes, group_grads)
         # the group partials add in group order, whichever lane made each

@@ -31,9 +31,12 @@ class GradPair(NamedTuple):
     backward: Callable[..., tuple] | None  # None from a forward that keeps nothing for one
 
 
-def _checked(x, name: str) -> tuple[np.ndarray, float]:
-    """``x`` as float64 and its largest magnitude; non-finite entries raise."""
-    arr = np.asarray(x, dtype=np.float64)
+def _checked(x, name: str, keep_f32: bool = False) -> tuple[np.ndarray, float]:
+    """``x`` as float64 (a float32 ``x`` as it is, with ``keep_f32``) and its
+    largest magnitude; non-finite entries raise."""
+    arr = np.asarray(x)
+    if not (keep_f32 and arr.dtype == np.float32):
+        arr = np.asarray(arr, dtype=np.float64)
     lo, hi = (float(arr.min()), float(arr.max())) if arr.size else (0.0, 0.0)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericError(f"{name} contains non-finite entries")

@@ -246,6 +246,35 @@ class TestPretrain:
         ]
         assert not out.exists() and not (tmp_path / "out.ckpt.metrics.csv").exists()
 
+    @pytest.mark.parametrize("stage", ["2", "joint"])
+    @pytest.mark.parametrize("fitted, resumed", [("1", "2"), ("2", "1"), (None, "2")], ids=["1-to-2", "2-to-1", "missing"])
+    def test_resume_over_other_views_exit_4(self, workdir, tmp_path, stop_after, capsys, stage, fitted, resumed):
+        # a half-done stage-2 or joint fit may not go on over another view count;
+        # a checkpoint that records none (fitted=None) cannot show it is the same
+        run = ["pretrain", "--stage", stage, "--data", str(workdir / "data.bin"), "--seed", "0", *SMALL, *FAST_TRAIN]
+        if stage == "2":
+            run += ["--cia", str(workdir / "s1.ckpt")]
+        half, out = tmp_path / "half.ckpt", tmp_path / "out.ckpt"
+        with stop_after(1):
+            assert main([*run, "--views", fitted or resumed, "--out", str(half)]) == 0
+        assert load_checkpoint(half).meta["views"] == (fitted or resumed)
+        if fitted is None:
+            edited_checkpoint(half, half, f"views={resumed}\n".encode(), b"")
+            assert "views" not in load_checkpoint(half).meta
+        capsys.readouterr()
+        assert main([*run, "--views", resumed, "--resume", str(half), "--out", str(out)]) == 4
+        fitted_on = fitted or "an unrecorded number of"
+        assert capsys.readouterr().err.splitlines() == [
+            f"incompatible artifacts: resume checkpoint was fit on {fitted_on} views, not {resumed}"
+        ]
+        assert not out.exists() and not (tmp_path / "out.ckpt.metrics.csv").exists()
+
+    def test_only_stage2_and_joint_record_views(self, workdir):
+        # --views left out: the dataset's count, 2 here
+        assert "views" not in load_checkpoint(workdir / "s1.ckpt").meta
+        assert load_checkpoint(workdir / "s2.ckpt").meta["views"] == "2"
+
+
 def edited_checkpoint(src, dst, old: bytes, new: bytes):
     """Copy a checkpoint with one edit: inside the meta block (its length prefix
     follows), or a same-length edit further on."""

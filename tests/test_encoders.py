@@ -191,6 +191,23 @@ def test_backward_keeps_no_batch_sized_float_array():
     assert peak < 8 * 2**20
 
 
+def test_forward_keeps_no_batch_sized_array(lanes):
+    # without grads, float32 clouds are sorted and widened a group at a time
+    # into each lane's buffer: no (B, N, 3) float64 array is made, which at
+    # B=1000, N=256 would alone be 5.9 MiB
+    clouds = np.random.default_rng(26).normal(size=(1000, 256, 3)).astype(np.float32)
+    params = init_point_encoder(16, 8, 3)
+    lanes(2)
+    tracemalloc.start()
+    try:
+        encode_points(clouds, params, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _CountingThread.started == 1
+    assert peak < clouds.size * 8
+
+
 def _by_group_then_chunk(a, b, group_rows):
     """``a.T @ b`` in the encoder's documented order: a partial per group of
     ``group_rows`` rows, summed over ``SUM_ROWS``-row chunks of that group in
@@ -204,6 +221,19 @@ def _by_group_then_chunk(a, b, group_rows):
             part = chunk if part is None else part + chunk
         total = part if total is None else total + part
     return total
+
+
+def _adjacent_pair_sum(feats):
+    """The sum over axis 1 of a (B, N, h) array by a balanced tree: each level
+    adds entries (0, 1), (2, 3), ... and carries an odd last entry on."""
+    x = np.moveaxis(feats, 1, 0)
+    while x.shape[0] > 1:
+        k = x.shape[0] // 2
+        paired = x[0 : 2 * k : 2] + x[1 : 2 * k : 2]
+        if x.shape[0] % 2:
+            paired = np.concatenate([paired, x[-1:]], axis=0)
+        x = paired
+    return x[0]
 
 
 def _reference_encode(clouds, params):
@@ -223,15 +253,8 @@ def _reference_encode(clouds, params):
     lin2 = nk.matmul(act1.value, params.w2)
     act2 = nk.relu(lin2.value)
     feats = act2.value.reshape(n_b, n_pts, h)
-    x = np.moveaxis(feats, 1, 0)
-    while x.shape[0] > 1:
-        k = x.shape[0] // 2
-        paired = x[0 : 2 * k : 2] + x[1 : 2 * k : 2]
-        if x.shape[0] % 2:
-            paired = np.concatenate([paired, x[-1:]], axis=0)
-        x = paired
     amax = feats.argmax(axis=1)
-    pooled = np.concatenate([x[0] / n_pts, feats.max(axis=1)], axis=1)
+    pooled = np.concatenate([_adjacent_pair_sum(feats) / n_pts, feats.max(axis=1)], axis=1)
     proj = nk.matmul(pooled, params.head)
     out = nk.l2_normalize(proj.value)
 
@@ -309,6 +332,74 @@ class TestFusedEncoderMatchesReference:
         for want, have in outs:
             np.testing.assert_array_equal(have, want)
             np.testing.assert_array_equal(np.signbit(have), np.signbit(want))
+
+
+def _adversarial_clouds(n_pts, dtype):
+    """Clouds whose x column ties, each built so that breaking a tie by input
+    position, not by y then z, gives another order: tied x with distinct y and
+    z, tied (x, y), fully duplicated points, -0.0 beside 0.0 in x, a constant
+    x column, and one cloud with distinct x."""
+    rng = np.random.default_rng(40)
+    clouds = rng.normal(size=(6, n_pts, 3))
+    clouds[0, :, 0] = rng.integers(-1, 2, n_pts)
+    clouds[1, :, :2] = rng.integers(-1, 2, (n_pts, 2))
+    clouds[2] = clouds[2, rng.integers(0, n_pts // 3, n_pts)]
+    clouds[4, :, 0] = 0.5
+    for cloud in clouds[:5]:
+        # the first two points tie up to y, which orders them against position
+        cloud[1] = cloud[0]
+        cloud[0, 1], cloud[1, 1] = 1.0, -1.0
+    clouds[3, 0, 0], clouds[3, 1, 0] = 0.0, -0.0  # its only tie
+    return clouds.astype(dtype)
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_pts", [MIN_CLOUD_POINTS, 37, 64])
+    def test_batched_order_is_each_clouds_lexsort(self, n_pts, dtype):
+        clouds = _adversarial_clouds(n_pts, dtype)
+        order = encoders._canonical_order(clouds)
+        for cloud, got in zip(clouds, order):
+            np.testing.assert_array_equal(got, np.lexsort((cloud[:, 2], cloud[:, 1], cloud[:, 0])))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_pts", [MIN_CLOUD_POINTS, 37])
+    def test_encoder_matches_reference_on_tied_clouds(self, n_pts, dtype):
+        clouds = _adversarial_clouds(n_pts, dtype)
+        params = init_point_encoder(9, 5, 1)
+        ref, got = _reference_encode(clouds, params), encode_points(clouds, params, True)
+        g = np.random.default_rng(21).normal(size=ref.value.shape)
+        for want, have in zip([ref.value, *ref.backward(g)], [got.value, *got.backward(g)]):
+            np.testing.assert_array_equal(have, want)
+            np.testing.assert_array_equal(np.signbit(have), np.signbit(want))
+
+
+class TestTreeSum:
+    @pytest.mark.parametrize("n_b", [1, 3])
+    def test_layout_sum_in_place_equals_adjacent_pairs(self, n_b):
+        rng = np.random.default_rng(41)
+        for n in range(1, 71):
+            layout, inverse = encoders._tree_layout(n)
+            np.testing.assert_array_equal(np.sort(layout), np.arange(n))
+            np.testing.assert_array_equal(layout[inverse], np.arange(n))
+            x = rng.normal(size=(n_b, n, 6))
+            x[rng.random(x.shape) < 0.3] = -0.0
+            x[:, :, 0] = -0.0  # a channel that sums to -0.0
+            want = _adjacent_pair_sum(x)
+            have = encoders._tree_sum(x[:, layout])
+            np.testing.assert_array_equal(have, want, err_msg=f"N={n}")
+            np.testing.assert_array_equal(np.signbit(have), np.signbit(want), err_msg=f"N={n}")
+
+    @pytest.mark.parametrize("n_b", [1, 3])
+    def test_duplicated_points_keep_the_mean(self, n_b):
+        # a duplicated cloud's canonical order puts each point beside its copy
+        rng = np.random.default_rng(42)
+        for n in range(1, 71):
+            x = rng.normal(size=(n_b, n, 6))
+            doubled = np.repeat(x, 2, axis=1)
+            once = encoders._tree_sum(x[:, encoders._tree_layout(n)[0]]) / n
+            twice = encoders._tree_sum(doubled[:, encoders._tree_layout(2 * n)[0]]) / (2 * n)
+            np.testing.assert_array_equal(twice, once, err_msg=f"N={n}")
 
 
 def _overflow_case(case):
