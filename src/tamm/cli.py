@@ -46,6 +46,7 @@ EXIT_MISSING = 3
 EXIT_INCOMPATIBLE = 4
 
 POINT_ENCODER_HIDDEN = 128
+_STAGES = {"1": "stage1", "2": "stage2", "joint": "joint"}  # --stage: the stage a checkpoint records
 
 _DATASET_FIELDS = {f.name: f for f in fields(DatasetSpec)}
 _TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig)}
@@ -117,32 +118,20 @@ def _metrics_path(args) -> str:
     return args.metrics if args.metrics else args.out + ".metrics.csv"
 
 
-def _cia_bits(blocks: dict[str, np.ndarray]) -> dict[str, tuple]:
-    return {name: (block.shape, block.tobytes()) for name, block in blocks.items() if name.startswith("cia.")}
-
-
-def _stage2_cia(args, d: int, resume) -> AdapterParams | None:
-    """Stage 2's frozen cia: the --cia checkpoint's, or None under --no-cia.
-
-    A stage-2 checkpoint holds cia blocks iff its run used --cia, so a resumed
-    fit must go on against the cia it began with, bit for bit. A resume
-    checkpoint of another stage is refused by the training call.
-    """
-    cia = None
-    if not args.no_cia:
-        cia = train.blocks_to_model(load_checkpoint(args.cia).blocks)[0]
-        if cia is None:
-            raise IncompatibilityError(f"{args.cia} holds no cia parameters")
-        if cia.w1.shape[0] != d:
-            raise IncompatibilityError(f"cia feature dim {cia.w1.shape[0]} vs dataset feature dim {d}")
-    stage2_resume = resume is not None and resume.meta.get("trained_stage") == "stage2"
-    if stage2_resume and _cia_bits(resume.blocks) != _cia_bits(train.model_blocks(cia)):
-        raise IncompatibilityError(f"resume checkpoint was fit against another cia than {args.cia or '--no-cia'}")
+def _stage2_cia(args, d: int) -> AdapterParams | None:
+    """Stage 2's frozen cia: the --cia checkpoint's, or None under --no-cia."""
+    if args.cia is None:
+        return None
+    cia = train.blocks_to_model(load_checkpoint(args.cia).blocks)[0]
+    if cia is None:
+        raise IncompatibilityError(f"{args.cia} holds no cia parameters")
+    if cia.w1.shape[0] != d:
+        raise IncompatibilityError(f"cia feature dim {cia.w1.shape[0]} vs dataset feature dim {d}")
     return cia
 
 
 def cmd_pretrain(args) -> int:
-    given = {"--views": args.views is not None, "--cia": args.cia is not None, "--no-cia": args.no_cia}
+    given = {"--views": args.views is not None, "--cia": args.cia is not None, "--no-cia": args.cia_off}
     for flag in {"1": ("--views", "--cia", "--no-cia"), "2": (), "joint": ("--cia", "--no-cia")}[args.stage]:
         if given[flag]:
             raise ConfigError(f"{flag} is not used by --stage {args.stage}")
@@ -160,33 +149,24 @@ def cmd_pretrain(args) -> int:
     encoder = init_point_encoder(POINT_ENCODER_HIDDEN, d, cfg.seed + 202)
     iaa = init_adapter(d, adapter_hidden, cfg.seed + 303, "dual")
     taa = init_adapter(d, adapter_hidden, cfg.seed + 404, "dual")
-    if args.stage != "1":
-        # a resumed stage-2 or joint fit must go on over the views it began
-        # with; a resume checkpoint of another stage is refused by the training call
-        views = str(train.views_count(data, args.views))
-        stage = "stage2" if args.stage == "2" else "joint"
-        if resume is not None and resume.meta.get("trained_stage") == stage and resume.meta.get("views") != views:
-            fitted = resume.meta.get("views", "an unrecorded number of")
-            raise IncompatibilityError(f"resume checkpoint was fit on {fitted} views, not {views}")
-
+    extra = train.run_meta(_STAGES[args.stage], data, args.views)  # resolves --views before --cia is read
     if args.stage == "1":
         *parts, rows, optim = train.train_stage1(data, cia, cfg, resume=resume)
-        extra = {"trained_stage": "stage1"}
     elif args.stage == "2":
-        cia = _stage2_cia(args, d, resume)
+        cia = _stage2_cia(args, d)
         *trained, rows, optim = train.train_stage2(data, cia, encoder, iaa, taa, cfg, resume, args.views)
         parts = [cia, *trained]
-        extra = {"trained_stage": "stage2", "no_cia": str(int(args.no_cia)), "views": views}
     else:  # joint
         *parts, rows, optim = train.train_onestage(data, cia, encoder, iaa, taa, cfg, resume, args.views)
-        extra = {"trained_stage": "joint", "views": views}
     save_checkpoint(args.out, train.model_blocks(*parts), optim, cfg, optim.step, extra=extra)
-    train.write_metrics_csv(rows, _metrics_path(args), run_id)
-    if rows:  # empty when resuming a finished run
+    if rows:
+        train.write_metrics_csv(rows, _metrics_path(args), run_id)
         last = rows[-1]
         summary = " ".join(f"{k}={v:.6f}" for k, v in last.items() if k not in ("stage", "epoch"))
         print(f"stage={last['stage']} epochs={last['epoch']} {summary}")
-    print(f"wrote {args.out} and {_metrics_path(args)}")
+        print(f"wrote {args.out} and {_metrics_path(args)}")
+    else:  # a finished run resumed: no epoch ran, so the run's CSV stays as it is
+        print(f"wrote {args.out}; no epoch ran, {_metrics_path(args)} left as it was")
     return EXIT_OK
 
 
@@ -300,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--cia", help="stage-1 checkpoint feeding stage 2")
-    p.add_argument("--no-cia", action="store_true", help="stage 2 without image re-alignment")
+    p.add_argument("--no-cia", action="store_true", dest="cia_off", help="stage 2 without image re-alignment")
     p.add_argument("--views", type=int, help="restrict training to the first N image views")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--metrics", help="metrics CSV path (default: OUT.metrics.csv)")

@@ -83,6 +83,8 @@ class DatasetSpec:
             raise ConfigError(f"split ratio must be in [0, 1], got {self.split_ratio}")
         if self.shift_strength is not None and not 0.0 <= self.shift_strength <= 1.0:
             raise ConfigError(f"shift strength must be in [0, 1] or None, got {self.shift_strength}")
+        if not 0 <= self.seed < 2**64:  # the file header stores it as a u64
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def n_samples(self) -> int:

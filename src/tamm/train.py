@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextvars
 import csv
+import hashlib
 import math
 import struct
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -56,6 +57,8 @@ class TrainConfig:
             raise ConfigError(f"need 0 <= warmup_epochs < total_epochs, got {self.warmup_epochs}/{self.total_epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         LossConfig(self.tau)  # the rules of tau and alpha, checked here before any artifact is read
         CiaConfig(self.alpha)
 
@@ -132,13 +135,23 @@ def _epoch_perm(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch, 0x5EED]).permutation(n)
 
 
-def _resume_state(resume: Checkpoint | None, params: dict, cfg: TrainConfig, stage: str, spe: int):
+def _resume_state(resume: Checkpoint | None, params: dict, cfg: TrainConfig, record: dict, frozen: dict, spe: int):
+    """The fresh state of ``params``, or ``resume``'s if it continues this very run:
+    the same config (by parsed value) and ``record`` (``run_meta``; a key it lacks
+    is a mismatch), its blocks outside ``params`` bit for bit this run's
+    ``frozen`` ones, an epoch-boundary step, and ``params``' shapes."""
     if resume is None:
         return {name: p.copy() for name, p in params.items()}, OptimState.zeros(params), 0
-    if resume.config != cfg:
-        raise IncompatibilityError("resume checkpoint was written with a different train config")
-    if resume.meta.get("trained_stage") != stage:
-        raise IncompatibilityError(f"resume checkpoint is for stage {resume.meta.get('trained_stage')!r}, not {stage!r}")
+    found = {**vars(resume.config), **{key: resume.meta.get(key) for key in record}}
+    for key, value in {**vars(cfg), **record}.items():
+        if found[key] != value:
+            was = f"no recorded {key}" if found[key] is None else f"{key}={found[key]}"
+            raise IncompatibilityError(f"resume checkpoint was fit with {was}, not {key}={value}")
+    fitted = {(name, b.shape, b.tobytes()) for name, b in resume.blocks.items() if name not in params}
+    ours = {(name, b.shape, b.tobytes()) for name, b in frozen.items()}
+    if fitted != ours:
+        differ = ", ".join(sorted({name for name, *_ in fitted ^ ours}))
+        raise IncompatibilityError(f"resume checkpoint's frozen blocks differ from this run's: {differ}")
     # every checkpoint tamm writes sits on an epoch boundary
     step = resume.optim.step
     if not (0 <= step <= spe * cfg.total_epochs and step % spe == 0):
@@ -157,10 +170,11 @@ def _fit(
     step,
     n: int,
     cfg: TrainConfig,
-    stage: str,
+    record: dict[str, str],
     resume: Checkpoint | None = None,
     on_epoch=None,
     initial_row: bool = True,
+    frozen: dict[str, np.ndarray] | None = None,
     *,
     stop_after_epochs: int | None = None,
 ) -> tuple[dict[str, np.ndarray], list[dict], OptimState]:
@@ -171,9 +185,11 @@ def _fit(
     means become the row's metrics, and ``on_epoch(params, means)`` may turn
     those means into the row's final metric fields. ``initial_row`` adds an
     epoch-0 row for the untrained state (fresh runs only), evaluated on the
-    unshuffled batches. Resuming a finished run trains nothing and returns no
-    rows. ``stop_after_epochs`` ends the run after that many epochs without
-    altering the schedule; no ``train_*`` function passes it, and the
+    unshuffled batches. ``record`` (``run_meta``) labels the rows with its
+    stage, and ``resume`` must match it and ``frozen``, the blocks the run
+    reads but does not train (``_resume_state``). Resuming a finished run
+    trains nothing and returns no rows. ``stop_after_epochs`` ends the run
+    after that many epochs without altering the schedule; no ``train_*`` function passes it, and the
     interrupt-and-resume tests bind it with ``functools.partial`` over
     ``train._fit``, which the ``train_*`` functions look up at call time.
 
@@ -189,16 +205,16 @@ def _fit(
     spe = n // bs
     total_steps = spe * cfg.total_epochs
     warmup_steps = spe * cfg.warmup_epochs
-    params, optim, start_step = _resume_state(resume, params, cfg, stage, spe)
+    params, optim, start_step = _resume_state(resume, params, cfg, record, frozen or {}, spe)
 
     rows: list[dict] = []
     helper = ThreadPoolExecutor(1, thread_name_prefix="tamm-epoch-row") if _lane_count(2) >= 2 else None
     pending: list[Future] = []  # the row in flight on the helper
 
-    def record(params, epoch: int, terms: list[dict], lr: float) -> None:
+    def add_row(params, epoch: int, terms: list[dict], lr: float) -> None:
         means = {key: float(np.mean([t[key] for t in terms])) for key in terms[0]}
         metrics = on_epoch(params, means) if on_epoch else means
-        rows.append({"stage": stage, "epoch": epoch, **metrics, "lr": lr})
+        rows.append({"stage": record["trained_stage"], "epoch": epoch, **metrics, "lr": lr})
 
     def settle() -> None:
         if pending:
@@ -207,9 +223,9 @@ def _fit(
     def submit(*args) -> None:
         settle()
         if helper is None:
-            record(*args)
+            add_row(*args)
         else:  # in a copy of the caller's context, so that np.errstate holds there too
-            pending.append(helper.submit(contextvars.copy_context().run, record, *args))
+            pending.append(helper.submit(contextvars.copy_context().run, add_row, *args))
 
     lr = 0.0
     last_epoch = cfg.total_epochs if stop_after_epochs is None else min(stop_after_epochs, cfg.total_epochs)
@@ -389,6 +405,14 @@ def views_count(data: TripletSet, views_limit: int | None) -> int:
     return m
 
 
+def run_meta(stage: str, data: TripletSet, views_limit: int | None = None) -> dict[str, str]:
+    """The record a ``stage`` ("stage1", "stage2" or "joint") checkpoint keeps of its run beside
+    the config, which a resume must match: ``trained_stage``, ``dataset`` (a 12-hex sha256
+    prefix of ``repr(data.spec)``) and, for stage 2 and joint, ``views``."""
+    views = {} if stage == "stage1" else {"views": str(views_count(data, views_limit))}
+    return {"trained_stage": stage, "dataset": hashlib.sha256(repr(data.spec).encode()).hexdigest()[:12], **views}
+
+
 def train_stage1(
     data: TripletSet,
     cia: AdapterParams,
@@ -412,7 +436,7 @@ def train_stage1(
         return {**means, "acc_pretrain": pre, "acc_heldout": held}
 
     step = stage1_step(imgs, txts, cfg)
-    params, rows, optim = _fit(model_blocks(cia), step, len(imgs), cfg, "stage1", resume, on_epoch)
+    params, rows, optim = _fit(model_blocks(cia), step, len(imgs), cfg, run_meta("stage1", data), resume, on_epoch)
     return blocks_to_model(params)[0], rows, optim
 
 
@@ -436,7 +460,7 @@ def train_stage2(
     adapted = adapt_views(data.image_feats[idx][:, :m], cia, CiaConfig(cfg.alpha))
     step = stage2_step(adapted, data.text_feats[idx], data.points[idx], cfg)
     blocks = model_blocks(None, encoder, iaa, taa)
-    params, rows, optim = _fit(blocks, step, idx.size, cfg, "stage2", resume)
+    params, rows, optim = _fit(blocks, step, idx.size, cfg, run_meta("stage2", data, m), resume, frozen=model_blocks(cia))
     _, out_pe, out_iaa, out_taa = blocks_to_model(params)
     return out_pe, out_iaa, out_taa, rows, optim
 
@@ -461,7 +485,7 @@ def train_onestage(
         return {"loss": means["loss_realign"] + means["loss_trimodal"], **means}
 
     blocks = model_blocks(cia, encoder, iaa, taa)
-    params, rows, optim = _fit(blocks, step, idx.size, cfg, "joint", resume, on_epoch, initial_row=False)
+    params, rows, optim = _fit(blocks, step, idx.size, cfg, run_meta("joint", data, m), resume, on_epoch, initial_row=False)
     out_cia, out_pe, out_iaa, out_taa = blocks_to_model(params)
     return out_cia, out_pe, out_iaa, out_taa, rows, optim
 

@@ -42,6 +42,7 @@ from tamm.train import (
     TrainConfig,
     load_checkpoint,
     model_blocks,
+    run_meta,
     save_checkpoint,
     train_stage1,
     train_stage2,
@@ -283,7 +284,7 @@ def test_criterion_8_exact_invariants(tmp_path, default_data, stage1, stage2, he
     with stop_after(2):
         half, _, half_optim = train_stage1(small, cia0, rcfg)
     hp = tmp_path / "half.ckpt"
-    save_checkpoint(hp, model_blocks(half), half_optim, rcfg, half_optim.step, extra={"trained_stage": "stage1"})
+    save_checkpoint(hp, model_blocks(half), half_optim, rcfg, half_optim.step, extra=run_meta("stage1", small))
     resumed, _, _ = train_stage1(small, cia0, rcfg, resume=load_checkpoint(hp))
     assert np.array_equal(resumed.w1, full.w1) and np.array_equal(resumed.w2, full.w2)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamm import cli, datagen, gradcheck
+from tamm import cli, datagen, gradcheck, train
 from tamm.cli import main
 from tamm.datagen import DatasetSpec, TripletSet, read_triplets, write_triplets
 from tamm.encoders import FrozenEncoderSpec
@@ -140,8 +140,8 @@ class TestPretrain:
         )
         assert rc == 0
         ck = load_checkpoint(out)
-        assert "cia.w1" not in ck.blocks
-        assert ck.meta["no_cia"] == "1"
+        assert not any(name.startswith("cia.") for name in ck.blocks)
+        assert "no_cia" not in ck.meta
 
     def test_joint_stage_runs(self, workdir):
         out = workdir / "joint.ckpt"
@@ -169,13 +169,14 @@ class TestPretrain:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_views_limit_exceeding_data_exit_4(self, workdir, capsys):
-        rc = main(
-            ["pretrain", "--stage", "2", "--no-cia", "--views", "9", "--data", str(workdir / "data.bin"),
-             "--out", str(workdir / "v.ckpt"), "--seed", "0", *SMALL, *FAST_TRAIN]
-        )
-        assert rc == 4
-        err = capsys.readouterr().err
-        assert "9" in err and "2" in err
+        # the view count is resolved before the --cia checkpoint is read, so a missing one is not what it names
+        for cia in (["--no-cia"], ["--cia", str(workdir / "missing.ckpt")]):
+            rc = main(
+                ["pretrain", "--stage", "2", *cia, "--views", "9", "--data", str(workdir / "data.bin"),
+                 "--out", str(workdir / "v.ckpt"), "--seed", "0", *SMALL, *FAST_TRAIN]
+            )
+            assert rc == 4
+            assert capsys.readouterr().err.splitlines() == ["incompatible artifacts: requested 9 views, dataset stores 2"]
 
     @pytest.mark.parametrize("views", ["0", "-1"])
     def test_views_below_one_exit_2(self, workdir, capsys, views):
@@ -242,7 +243,7 @@ class TestPretrain:
         capsys.readouterr()
         assert main([*run, *resumed_with, "--resume", str(half), "--out", str(out)]) == 4
         assert capsys.readouterr().err.splitlines() == [
-            f"incompatible artifacts: resume checkpoint was fit against another cia than {resumed_with[-1]}"
+            "incompatible artifacts: resume checkpoint's frozen blocks differ from this run's: cia.w1, cia.w2"
         ]
         assert not out.exists() and not (tmp_path / "out.ckpt.metrics.csv").exists()
 
@@ -263,9 +264,9 @@ class TestPretrain:
             assert "views" not in load_checkpoint(half).meta
         capsys.readouterr()
         assert main([*run, "--views", resumed, "--resume", str(half), "--out", str(out)]) == 4
-        fitted_on = fitted or "an unrecorded number of"
+        fitted_with = f"views={fitted}" if fitted else "no recorded views"
         assert capsys.readouterr().err.splitlines() == [
-            f"incompatible artifacts: resume checkpoint was fit on {fitted_on} views, not {resumed}"
+            f"incompatible artifacts: resume checkpoint was fit with {fitted_with}, not views={resumed}"
         ]
         assert not out.exists() and not (tmp_path / "out.ckpt.metrics.csv").exists()
 
@@ -273,6 +274,52 @@ class TestPretrain:
         # --views left out: the dataset's count, 2 here
         assert "views" not in load_checkpoint(workdir / "s1.ckpt").meta
         assert load_checkpoint(workdir / "s2.ckpt").meta["views"] == "2"
+
+    @pytest.mark.parametrize("stage", ["1", "2", "joint"])
+    def test_resume_on_another_dataset_exit_4(self, workdir, tmp_path, stop_after, capsys, stage):
+        # the module's dataset spec with another seed
+        other = tmp_path / "other.bin"
+        assert main(["datagen", "--out", str(other), "--seed", "1", *SMALL]) == 0
+        run = ["pretrain", "--stage", stage, "--seed", "0", *SMALL, *FAST_TRAIN]
+        if stage == "2":
+            run += ["--cia", str(workdir / "s1.ckpt")]
+        half, out = tmp_path / "half.ckpt", tmp_path / "out.ckpt"
+        with stop_after(1):
+            assert main([*run, "--data", str(workdir / "data.bin"), "--out", str(half)]) == 0
+        capsys.readouterr()
+        assert main([*run, "--data", str(other), "--resume", str(half), "--out", str(out)]) == 4
+        fitted = load_checkpoint(half).meta["dataset"]
+        resumed = train.run_meta("stage1", read_triplets(other))["dataset"]
+        assert fitted != resumed
+        assert capsys.readouterr().err.splitlines() == [
+            f"incompatible artifacts: resume checkpoint was fit with dataset={fitted}, not dataset={resumed}"
+        ]
+        assert not out.exists() and not (tmp_path / "out.ckpt.metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "stage, seed, named",
+        [("joint", "0", "trained_stage=stage1, not trained_stage=joint"), ("1", "1", "seed=0, not seed=1")],
+        ids=["another-stage", "another-config"],
+    )
+    def test_resume_of_another_run_exit_4(self, workdir, tmp_path, capsys, stage, seed, named):
+        out = tmp_path / "out.ckpt"
+        argv = ["pretrain", "--stage", stage, "--data", str(workdir / "data.bin"), "--seed", seed, *SMALL, *FAST_TRAIN,
+                "--resume", str(workdir / "s1.ckpt"), "--out", str(out)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err.splitlines() == [f"incompatible artifacts: resume checkpoint was fit with {named}"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_finished_run_resume_leaves_the_csv(self, workdir, tmp_path, capsys):
+        out, csv = tmp_path / "f.ckpt", tmp_path / "f.ckpt.metrics.csv"
+        run = ["pretrain", "--stage", "1", "--data", str(workdir / "data.bin"), "--seed", "0", *SMALL, *FAST_TRAIN,
+               "--out", str(out)]
+        assert main(run) == 0
+        before = out.read_bytes(), csv.read_bytes()
+        assert len(before[1].splitlines()) > 1
+        capsys.readouterr()
+        assert main([*run, "--resume", str(out)]) == 0
+        assert (out.read_bytes(), csv.read_bytes()) == before
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out}; no epoch ran, {csv} left as it was"]
 
 
 def edited_checkpoint(src, dst, old: bytes, new: bytes):
@@ -328,6 +375,17 @@ class TestMalformedInput:
         assert err.startswith("config error:") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("flag", ["--seed", "--set"])
+    @pytest.mark.parametrize("command", ["datagen", "pretrain"])
+    def test_seed_out_of_range_exit_2(self, tmp_path, capsys, command, flag, seed):
+        # refused before any artifact is read or generated: the --data file does not exist
+        argv = ["datagen"] if command == "datagen" else ["pretrain", "--stage", "1", "--data", str(tmp_path / "no.bin")]
+        given = [flag, seed] if flag == "--seed" else [flag, f"seed={seed}"]
+        assert main([*argv, *given, "--out", str(tmp_path / "x.out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: seed must be in [0, 2**64), got {seed}"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_not_utf8_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"classes=\xff\n")
@@ -372,7 +430,7 @@ class TestMalformedInput:
         assert load_checkpoint(workdir / "s2.ckpt").optim.step == 21  # 3 epochs x 7 steps
         bad = edited_checkpoint(workdir / "s2.ckpt", tmp_path / "bad.ckpt", *self.UNRESUMABLE[edit])
         assert main(self.resume(workdir, bad, tmp_path / "out.ckpt")) == 4
-        assert not (tmp_path / "out.ckpt").exists()
+        assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "out.ckpt.metrics.csv").exists()
 
     @pytest.mark.parametrize("task", ["pretrain", "zeroshot", "linear"])
     def test_adapter_wider_than_its_input_exit_4(self, workdir, tmp_path, capsys, task):

@@ -52,6 +52,8 @@ class TestSpec:
             dict(points_per_cloud=4),
             dict(split_ratio=1.5),
             dict(shift_strength=2.0),
+            dict(seed=-1),
+            dict(seed=2**64),
         ],
     )
     def test_invalid_specs(self, kwargs):

@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import itertools
 import math
 import os
@@ -139,7 +141,7 @@ class TestTrainConfig:
         [dict(base_lr=0.0), dict(warmup_epochs=5, total_epochs=5), dict(batch_size=1), dict(base_lr=math.inf),
          dict(base_lr=math.nan), dict(betas=(1.0, 0.999)), dict(betas=(0.9, -0.1)), dict(betas=(0.9, math.nan)),
          dict(weight_decay=-5.0), dict(weight_decay=math.inf), dict(tau=math.inf), dict(tau=1e-300),
-         dict(alpha=1.5)],
+         dict(alpha=1.5), dict(seed=-1)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -282,7 +284,7 @@ class TestRowsBesideSteps:
             with stop_after(2):
                 half = train_stage1(data, cia, self.CFG)
             path = tmp_path / f"half-{cpus}.ckpt"
-            save_checkpoint(path, model_blocks(half[0]), half[2], self.CFG, half[2].step, extra={"trained_stage": "stage1"})
+            save_checkpoint(path, model_blocks(half[0]), half[2], self.CFG, half[2].step, extra=train.run_meta("stage1", data))
             resumed = train_stage1(data, cia, self.CFG, resume=load_checkpoint(path))
             assert threading.active_count() == before
             # with two lanes, one helper thread per fit
@@ -322,6 +324,92 @@ class TestRowsBesideSteps:
         with pytest.raises(KeyboardInterrupt):
             train_stage1(data, cia, self.CFG)
         assert threading.active_count() == before
+
+
+def fit_stage(stage, data, cia, cfg, resume=None, views_limit=None):
+    """One ``stage`` fit from ``small_models``' initial state with ``cia`` as its
+    cia: the blocks a checkpoint of it holds (stage 2's frozen cia included, as
+    the CLI writes them), its rows and its optimizer state."""
+    _, pe, iaa, taa = small_models(data.spec.feature_dim)
+    if stage == "stage1":
+        trained, rows, optim = train_stage1(data, cia, cfg, resume)
+        return model_blocks(trained), rows, optim
+    if stage == "stage2":
+        *trained, rows, optim = train_stage2(data, cia, pe, iaa, taa, cfg, resume, views_limit)
+        return model_blocks(cia, *trained), rows, optim
+    *trained, rows, optim = train_onestage(data, cia, pe, iaa, taa, cfg, resume, views_limit)
+    return model_blocks(*trained), rows, optim
+
+
+class TestResumeContract:
+    """A resume must continue the run its checkpoint records: the same stage,
+    dataset, view count and frozen cia, or an IncompatibilityError before any step."""
+
+    CFG = TrainConfig(seed=0, **SMALL_CFG)
+
+    def half_done(self, tmp_path, stop_after, stage, data, cia, views_limit=None):
+        with stop_after(1):
+            blocks, _, optim = fit_stage(stage, data, cia, self.CFG, views_limit=views_limit)
+        path = tmp_path / "half.ckpt"
+        save_checkpoint(path, blocks, optim, self.CFG, optim.step, extra=train.run_meta(stage, data, views_limit))
+        return load_checkpoint(path)
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        """``with refused(match):`` expects an IncompatibilityError matching ``match`` before any step."""
+
+        @contextlib.contextmanager
+        def use(match):
+            with monkeypatch.context() as patch, pytest.raises(IncompatibilityError, match=match):
+                patch.setattr(train, "adamw_step", lambda *args, **kwargs: pytest.fail("a step ran"))
+                yield
+
+        return use
+
+    def test_record_of_each_stage(self, data):
+        dataset = hashlib.sha256(repr(data.spec).encode("utf-8")).hexdigest()[:12]
+        assert train.run_meta("stage1", data, 1) == {"trained_stage": "stage1", "dataset": dataset}
+        assert train.run_meta("stage2", data) == {"trained_stage": "stage2", "dataset": dataset, "views": "2"}
+        assert train.run_meta("joint", data, 1) == {"trained_stage": "joint", "dataset": dataset, "views": "1"}
+
+    @pytest.mark.parametrize("fitted, resumed", [(0, 1), (0, None), (None, 0)], ids=["other", "cia-to-none", "none-to-cia"])
+    def test_stage2_against_another_cia(self, tmp_path, data, stop_after, refused, fitted, resumed):
+        cias = {seed: small_models(data.spec.feature_dim, seed)[0] for seed in (0, 1)}
+        ck = self.half_done(tmp_path, stop_after, "stage2", data, cias.get(fitted))
+        with refused("frozen blocks differ from this run's: cia.w1, cia.w2$"):
+            fit_stage("stage2", data, cias.get(resumed), self.CFG, resume=ck)
+
+    @pytest.mark.parametrize("stage", ["stage2", "joint"])
+    @pytest.mark.parametrize("fitted, resumed", [(1, 2), (2, 1), (1, None)])
+    def test_another_view_count(self, tmp_path, data, stop_after, refused, stage, fitted, resumed):
+        cia, *_ = small_models(data.spec.feature_dim)
+        ck = self.half_done(tmp_path, stop_after, stage, data, cia, fitted)
+        with refused(f"fit with views={fitted}, not views={resumed or 2}$"):
+            fit_stage(stage, data, cia, self.CFG, resume=ck, views_limit=resumed)
+
+    @pytest.mark.parametrize("stage", ["stage1", "stage2", "joint"])
+    def test_another_dataset(self, tmp_path, data, stop_after, refused, stage):
+        cia, *_ = small_models(data.spec.feature_dim)
+        ck = self.half_done(tmp_path, stop_after, stage, data, cia)
+        other = generate(DatasetSpec(seed=2, **SMALL_DATA))
+        fitted, resumed = (train.run_meta(stage, d)["dataset"] for d in (data, other))
+        with refused(f"fit with dataset={fitted}, not dataset={resumed}$"):
+            fit_stage(stage, other, cia, self.CFG, resume=ck)
+
+    def test_another_stage_and_missing_record(self, tmp_path, data, stop_after, refused):
+        cia, *_ = small_models(data.spec.feature_dim)
+        ck = self.half_done(tmp_path, stop_after, "stage1", data, cia)
+        with refused("fit with trained_stage=stage1, not trained_stage=joint$"):
+            fit_stage("joint", data, cia, self.CFG, resume=ck)
+        unrecorded = ck._replace(meta={k: v for k, v in ck.meta.items() if k != "dataset"})
+        with refused("fit with no recorded dataset, not dataset="):
+            fit_stage("stage1", data, cia, self.CFG, resume=unrecorded)
+
+    def test_another_config_names_the_key(self, tmp_path, data, stop_after, refused):
+        cia, *_ = small_models(data.spec.feature_dim)
+        ck = self.half_done(tmp_path, stop_after, "stage1", data, cia)
+        with refused("fit with base_lr=0.0005, not base_lr=0.001$"):
+            train_stage1(data, cia, TrainConfig(seed=0, base_lr=1e-3, **SMALL_CFG), resume=ck)
 
 
 class TestStage2:
@@ -406,28 +494,19 @@ class TestCheckpoint:
     @pytest.mark.parametrize("stage", ["stage1", "stage2", "joint"])
     def test_resume_equals_uninterrupted(self, tmp_path, data, stop_after, stage):
         cfg = TrainConfig(seed=0, total_epochs=4, warmup_epochs=1, batch_size=8)
-        cia, pe, iaa, taa = small_models(data.spec.feature_dim)
-
-        def fit(**kwargs):
-            if stage == "stage1":
-                trained, rows, optim = train_stage1(data, cia, cfg, **kwargs)
-                return model_blocks(trained), rows, optim
-            if stage == "stage2":
-                *trained, rows, optim = train_stage2(data, cia, pe, iaa, taa, cfg, **kwargs)
-                return model_blocks(None, *trained), rows, optim
-            *trained, rows, optim = train_onestage(data, cia, pe, iaa, taa, cfg, **kwargs)
-            return model_blocks(*trained), rows, optim
-
-        full, full_rows, full_optim = fit()
+        cia, *_ = small_models(data.spec.feature_dim)
+        full, full_rows, full_optim = fit_stage(stage, data, cia, cfg)
         with stop_after(2):
-            half, _, half_optim = fit()
+            half, _, half_optim = fit_stage(stage, data, cia, cfg)
         path = tmp_path / "half.ckpt"
-        save_checkpoint(path, half, half_optim, cfg, half_optim.step, extra={"trained_stage": stage})
-        resumed, resumed_rows, resumed_optim = fit(resume=load_checkpoint(path))
+        save_checkpoint(path, half, half_optim, cfg, half_optim.step, extra=train.run_meta(stage, data))
+        resumed, resumed_rows, resumed_optim = fit_stage(stage, data, cia, cfg, resume=load_checkpoint(path))
 
         assert resumed.keys() == full.keys()
         for name in full:
             np.testing.assert_array_equal(resumed[name], full[name])
+        assert resumed_optim.m.keys() == full_optim.m.keys()
+        for name in full_optim.m:
             np.testing.assert_array_equal(resumed_optim.m[name], full_optim.m[name])
             np.testing.assert_array_equal(resumed_optim.v[name], full_optim.v[name])
         assert resumed_optim.step == full_optim.step
@@ -441,7 +520,7 @@ class TestCheckpoint:
         with stop_after(1):
             half, _, half_optim = train_stage1(data, cia, cfg)
         path = tmp_path / "old.ckpt"
-        extra = {"trained_stage": "stage1", "stage": "two"}
+        extra = {**train.run_meta("stage1", data), "stage": "two"}
         save_checkpoint(path, model_blocks(half), half_optim, cfg, half_optim.step, extra=extra)
         ck = load_checkpoint(path)
         assert ck.meta["stage"] == "two" and ck.config == cfg
@@ -455,7 +534,7 @@ class TestCheckpoint:
         cia, *_ = small_models(data.spec.feature_dim)
         trained, _, optim = train_stage1(data, cia, cfg)
         path = tmp_path / "c.ckpt"
-        save_checkpoint(path, model_blocks(trained), optim, cfg, optim.step, extra={"trained_stage": "stage1"})
+        save_checkpoint(path, model_blocks(trained), optim, cfg, optim.step, extra=train.run_meta("stage1", data))
         other = TrainConfig(seed=1, **SMALL_CFG)
         with pytest.raises(IncompatibilityError):
             train_stage1(data, cia, other, resume=load_checkpoint(path))
@@ -465,7 +544,7 @@ class TestCheckpoint:
         small_cia = init_adapter(8, 4, 0, "cia")
         blocks = model_blocks(small_cia)
         path = tmp_path / "d.ckpt"
-        save_checkpoint(path, blocks, OptimState.zeros(blocks), cfg, 0, extra={"trained_stage": "stage1"})
+        save_checkpoint(path, blocks, OptimState.zeros(blocks), cfg, 0, extra=train.run_meta("stage1", data))
         cia, *_ = small_models(data.spec.feature_dim)
         with pytest.raises(ShapeError):
             train_stage1(data, cia, cfg, resume=load_checkpoint(path))
