@@ -16,7 +16,6 @@ artifacts).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from dataclasses import fields
 
@@ -90,10 +89,6 @@ def build_configs(args) -> tuple[DatasetSpec, TrainConfig]:
     return DatasetSpec(**parsed(_DATASET_FIELDS)), TrainConfig(**parsed(_TRAIN_FIELDS))
 
 
-def _run_id(*parts: str) -> str:
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:10]
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -142,7 +137,6 @@ def cmd_pretrain(args) -> int:
     _, cfg = build_configs(args)
     data = read_triplets(args.data)
     resume = load_checkpoint(args.resume) if args.resume else None
-    run_id = _run_id("pretrain", args.stage, str(cfg), str(data.spec))
     d = data.spec.feature_dim
     adapter_hidden = max(1, d // 2)
     cia = init_adapter(d, adapter_hidden, cfg.seed + 101, "cia")
@@ -150,17 +144,19 @@ def cmd_pretrain(args) -> int:
     iaa = init_adapter(d, adapter_hidden, cfg.seed + 303, "dual")
     taa = init_adapter(d, adapter_hidden, cfg.seed + 404, "dual")
     extra = train.run_meta(_STAGES[args.stage], data, args.views)  # resolves --views before --cia is read
+    frozen = {}
     if args.stage == "1":
         *parts, rows, optim = train.train_stage1(data, cia, cfg, resume=resume)
     elif args.stage == "2":
         cia = _stage2_cia(args, d)
+        frozen = train.model_blocks(cia)
         *trained, rows, optim = train.train_stage2(data, cia, encoder, iaa, taa, cfg, resume, args.views)
         parts = [cia, *trained]
     else:  # joint
         *parts, rows, optim = train.train_onestage(data, cia, encoder, iaa, taa, cfg, resume, args.views)
     save_checkpoint(args.out, train.model_blocks(*parts), optim, cfg, optim.step, extra=extra)
     if rows:
-        train.write_metrics_csv(rows, _metrics_path(args), run_id)
+        train.write_metrics_csv(rows, _metrics_path(args), train.run_id(cfg, extra, frozen))
         last = rows[-1]
         summary = " ".join(f"{k}={v:.6f}" for k, v in last.items() if k not in ("stage", "epoch"))
         print(f"stage={last['stage']} epochs={last['epoch']} {summary}")

@@ -71,7 +71,8 @@ class FramedReader:
 
     def array(self, dtype: str, shape: tuple[int, ...], what: str, to=None) -> np.ndarray:
         """The next ``shape`` values stored as ``dtype``, copied in native byte
-        order at that width, or converted straight from the file's bytes ``to``."""
+        order at that width, or converted straight from the file's bytes ``to``
+        (which only the dataset labels use: stored as u32, held as int64)."""
         if len(shape) > 32:  # numpy's rank limit
             raise FormatError(f"{self.kind} {what} has rank {len(shape)} at byte {self.offset}")
         start, item = self.offset, np.dtype(dtype).itemsize

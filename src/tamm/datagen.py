@@ -118,9 +118,10 @@ def factor_masks(latent_dim: int, split_ratio: float) -> tuple[np.ndarray, np.nd
 @dataclass
 class TripletSet:
     spec: DatasetSpec
-    points: np.ndarray  # (n, N, 3) float32, as stored; the encoder widens each batch it reads
-    image_feats: np.ndarray  # (n, views, d)
-    text_feats: np.ndarray  # (n, d)
+    # every float array is held at the f32 width the file stores; arithmetic widens what it reads
+    points: np.ndarray  # (n, N, 3) float32; the encoder widens each group of clouds it gathers
+    image_feats: np.ndarray  # (n, views, d) float32
+    text_feats: np.ndarray  # (n, d) float32
     labels: np.ndarray  # (n,)
 
     def indices(self, tag: str) -> np.ndarray:
@@ -165,10 +166,10 @@ def batched_contrastive_accuracy(image_feats, text_feats) -> float:
     return contrastive_accuracy(img_stack, txt_stack)
 
 
-def _shifted_views(enc: FrozenEncoderSpec, unshifted: np.ndarray, s: float) -> np.ndarray:
+def _shifted_views(enc: FrozenEncoderSpec, unshifted: np.ndarray, s: float, dtype=np.float64) -> np.ndarray:
     """Every view of the (n, m, d) unit features pushed through the domain
-    shift at strength s and renormalized."""
-    shifted = np.empty_like(unshifted)
+    shift at strength s and renormalized, stored as ``dtype``."""
+    shifted = np.empty(unshifted.shape, dtype)
     for k in range(unshifted.shape[1]):
         shifted[:, k] = nk.l2_normalize(shift_apply(unshifted[:, k], enc, s)).value
     return shifted
@@ -195,13 +196,6 @@ def _tune_shift(enc: FrozenEncoderSpec, unshifted: np.ndarray, texts: np.ndarray
         else:
             hi = mid
     raise ConfigError("shift tuning did not converge to the target accuracy band")
-
-
-def _quantize32(a: np.ndarray) -> np.ndarray:
-    # datasets live on the f32 grid so the on-disk round trip is bit-exact;
-    # rounded in place, so a full-size float64 copy is never made
-    a[...] = a.astype(np.float32)
-    return a
 
 
 def generate(spec: DatasetSpec) -> TripletSet:
@@ -267,14 +261,18 @@ def generate(spec: DatasetSpec) -> TripletSet:
         strength = _tune_shift(enc, unshifted[held], text_feats[held])
     else:
         strength = spec.shift_strength
-    # renormalizing at s = 0 would move bits, so an unshifted set stores its views as they are
-    image_feats = _shifted_views(enc, unshifted, strength) if strength > 0.0 else unshifted
+    # the final views are rounded to f32 as each is stored; renormalizing at
+    # s = 0 would move bits, so an unshifted set stores its views as they are
+    if strength > 0.0:
+        image_feats = _shifted_views(enc, unshifted, strength, np.float32)
+    else:
+        image_feats = unshifted.astype(np.float32)
 
     return TripletSet(
         spec=replace(spec, shift_strength=strength),
         points=points,
-        image_feats=_quantize32(image_feats),
-        text_feats=_quantize32(text_feats),
+        image_feats=image_feats,
+        text_feats=text_feats.astype(np.float32),
         labels=labels.astype(np.int64),
     )
 
@@ -307,8 +305,8 @@ def read_triplets(path) -> TripletSet:
         raise FormatError(f"dataset header at byte {header_at}: {exc}") from None
     n, views, d = spec.n_samples, spec.views, spec.feature_dim
     points = reader.array("<f4", (n, spec.points_per_cloud, 3), "points")
-    image_feats = reader.array("<f4", (n, views, d), "image features", np.float64)
-    text_feats = reader.array("<f4", (n, d), "text features", np.float64)
+    image_feats = reader.array("<f4", (n, views, d), "image features")
+    text_feats = reader.array("<f4", (n, d), "text features")
     labels_at = reader.offset
     labels = reader.array("<u4", (n,), "labels", np.int64)
     reader.finish()

@@ -53,7 +53,7 @@ def build_category_bank(data: TripletSet, class_ids: Sequence[int]) -> CategoryB
         members = np.flatnonzero(data.labels == c)
         if members.size == 0:
             raise ConfigError(f"class {int(c)} has no samples to embed")
-        rows.append(data.text_feats[members].mean(axis=0))
+        rows.append(nk.as_f64(data.text_feats[members], "text features").mean(axis=0))
     return CategoryBank(ids, nk.l2_normalize(np.stack(rows)).value)
 
 

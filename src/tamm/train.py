@@ -332,9 +332,10 @@ def joint_step(images: np.ndarray, texts: np.ndarray, clouds: np.ndarray, cfg: T
 
 
 def adapt_views(image_feats: np.ndarray, cia: AdapterParams | None, cfg: CiaConfig) -> np.ndarray:
-    """Push (n, m, d) image features through a frozen cia; identity when None."""
+    """Push (n, m, d) image features through a frozen cia; identity when None.
+    Either way the views come back as float64."""
     if cia is None:
-        return image_feats
+        return nk.as_f64(image_feats, "image features")
     flat = cia_forward(image_feats.reshape(-1, image_feats.shape[-1]), cia, cfg).value
     return flat.reshape(image_feats.shape)
 
@@ -413,6 +414,18 @@ def run_meta(stage: str, data: TripletSet, views_limit: int | None = None) -> di
     return {"trained_stage": stage, "dataset": hashlib.sha256(repr(data.spec).encode()).hexdigest()[:12], **views}
 
 
+def run_id(cfg: TrainConfig, record: dict[str, str], frozen: dict[str, np.ndarray]) -> str:
+    """The metrics CSV's id of a run: a 10-hex sha256 prefix of what ``_resume_state``
+    requires a resume to share with its run, the config, ``record`` (``run_meta``) and
+    the ``frozen`` blocks (stage 2's cia, else none). A resume keeps its run's id."""
+    facts = {**config_to_meta(cfg), **record}
+    h = hashlib.sha256("".join(f"{key}={facts[key]}\n" for key in sorted(facts)).encode())
+    for name in sorted(frozen):
+        block = np.ascontiguousarray(frozen[name], "<f8")
+        h.update(f"{name}{block.shape}\n".encode() + block.tobytes())
+    return h.hexdigest()[:10]
+
+
 def train_stage1(
     data: TripletSet,
     cia: AdapterParams,
@@ -425,8 +438,11 @@ def train_stage1(
     adapter, one metrics row per epoch (plus an epoch-0 row for the untrained
     state), and the final optimizer state.
     """
-    # pretrain and held-out features of the per-epoch diagnostic, gathered once
-    splits = [(data.image_feats[idx], data.text_feats[idx]) for idx in map(data.indices, (PRETRAIN, EVAL_HELDOUT))]
+    # pretrain and held-out features of the per-epoch diagnostic, gathered and widened once
+    splits = [
+        (nk.as_f64(data.image_feats[idx], "image features"), nk.as_f64(data.text_feats[idx], "text features"))
+        for idx in map(data.indices, (PRETRAIN, EVAL_HELDOUT))
+    ]
     imgs = splits[0][0].reshape(-1, data.spec.feature_dim)
     txts = np.repeat(splits[0][1], data.spec.views, axis=0)
     check = _accuracy_check(splits, cia.w1.shape[1], CiaConfig(cfg.alpha))

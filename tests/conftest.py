@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import functools
 import os
 
+import numpy as np
 import pytest
 
 from tamm import encoders, gradcheck, train
@@ -52,5 +54,17 @@ def lane_inputs(monkeypatch):
         getter = None if blas is None else lambda: blas
         monkeypatch.setattr(encoders, "_openblas_get_num_threads", lambda: getter)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+    return use
+
+
+@pytest.fixture
+def widened():
+    """``widened(data)``: the triplet set ``data`` with its image and text
+    features widened to float64, values unchanged."""
+
+    def use(data):
+        wide = {name: getattr(data, name).astype(np.float64) for name in ("image_feats", "text_feats")}
+        return dataclasses.replace(data, **wide)
 
     return use

@@ -219,6 +219,8 @@ class TestPretrain:
         assert load_checkpoint(half).optim.step < load_checkpoint(full).optim.step
         assert main([*run, "--out", str(resumed), "--resume", str(half)]) == 0
         assert resumed.read_bytes() == full.read_bytes()
+        # every part of the run writes its rows under the run's one id
+        assert len({run_id(tmp_path / f"{name}.ckpt.metrics.csv") for name in ("full", "half", "resumed")}) == 1
         # resuming the finished run trains nothing and rewrites the same checkpoint
         assert main([*run, "--out", str(resumed), "--resume", str(full)]) == 0
         assert resumed.read_bytes() == full.read_bytes()
@@ -270,6 +272,24 @@ class TestPretrain:
         ]
         assert not out.exists() and not (tmp_path / "out.ckpt.metrics.csv").exists()
 
+    def test_run_ids_tell_runs_apart(self, workdir, tmp_path):
+        # runs that differ only in a fact a resume must match: the stage, the views, the frozen cia, the config
+        data, s1 = str(workdir / "data.bin"), str(workdir / "s1.ckpt")
+        runs = {
+            "stage1": ["--stage", "1"],
+            "joint": ["--stage", "joint"],
+            "cia": ["--stage", "2", "--cia", s1],
+            "cia-views-1": ["--stage", "2", "--cia", s1, "--views", "1"],
+            "no-cia": ["--stage", "2", "--no-cia"],
+            "no-cia-views-1": ["--stage", "2", "--no-cia", "--views", "1"],
+            "no-cia-seed-1": ["--stage", "2", "--no-cia", "--seed", "1"],
+        }
+        for name, flags in runs.items():
+            argv = ["pretrain", "--data", data, "--out", str(tmp_path / f"{name}.ckpt"), "--seed", "0", *SMALL, *FAST_TRAIN]
+            assert main([*argv, *flags]) == 0
+        ids = [run_id(tmp_path / f"{name}.ckpt.metrics.csv") for name in runs]
+        assert len(set(ids)) == len(runs)
+
     def test_only_stage2_and_joint_record_views(self, workdir):
         # --views left out: the dataset's count, 2 here
         assert "views" not in load_checkpoint(workdir / "s1.ckpt").meta
@@ -320,6 +340,13 @@ class TestPretrain:
         assert main([*run, "--resume", str(out)]) == 0
         assert (out.read_bytes(), csv.read_bytes()) == before
         assert capsys.readouterr().out.splitlines() == [f"wrote {out}; no epoch ran, {csv} left as it was"]
+
+
+def run_id(metrics_csv) -> str:
+    """The one ``run_id`` a metrics CSV's rows carry."""
+    ids = {line.split(",")[0] for line in metrics_csv.read_text().splitlines()[1:]}
+    assert len(ids) == 1
+    return ids.pop()
 
 
 def edited_checkpoint(src, dst, old: bytes, new: bytes):
@@ -567,6 +594,23 @@ class TestEval:
         assert main(["eval", "--task", "retrieve", "--query-modality", "text", "--query-index", "3", *base]) == 0
         assert main(["eval", "--task", "retrieve", "--query-modality", "image", "--query-index", "3", "--views", "2", *base]) == 0
         assert "top-5" in capsys.readouterr().out
+
+    def test_image_retrieval_without_cia_equals_widened_features(self, workdir, tmp_path, monkeypatch, capsys, widened):
+        # the query is the mean of two raw views: it must be taken in float64, as the widened set takes it
+        data, ckpt, report = str(workdir / "data.bin"), str(tmp_path / "nocia.ckpt"), tmp_path / "r.csv"
+        argv = ["pretrain", "--stage", "2", "--no-cia", "--data", data, "--out", ckpt, "--seed", "0", *SMALL, *FAST_TRAIN]
+        assert main(argv) == 0
+        argv = ["eval", "--task", "retrieve", "--query-modality", "image", "--views", "2", "--query-index", "3",
+                "--split", "all", "--ckpt", ckpt, "--data", data, "--report", str(report)]
+        outs = []
+        for widen in (False, True):
+            if widen:
+                monkeypatch.setattr(cli, "read_triplets", lambda path: widened(read_triplets(path)))
+            capsys.readouterr()
+            assert main(argv) == 0
+            outs.append((capsys.readouterr().out, report.read_bytes()))
+        assert read_triplets(data).image_feats.dtype == np.float32
+        assert outs[0] == outs[1]
 
     def test_retrieve_k_beyond_the_gallery_exit_2(self, workdir, capsys):
         base = ["--ckpt", str(workdir / "s2.ckpt"), "--data", str(workdir / "data.bin"), "--split", "all"]

@@ -104,6 +104,14 @@ class TestZeroshot:
         sub = build_category_bank(data, [3])
         assert sub.class_ids.tolist() == [3]
 
+    def test_bank_of_f32_features_equals_their_widening(self, widened):
+        # each class's mean is taken in float64 whatever width the set holds
+        data = generate(DatasetSpec(seed=2, classes=4, samples_per_class=30, heldout_classes=1, views=1, points_per_cloud=16))
+        wide = widened(data)
+        assert data.text_feats.dtype == np.float32
+        ids = np.unique(data.labels)
+        assert build_category_bank(data, ids).embeddings.tobytes() == build_category_bank(wide, ids).embeddings.tobytes()
+
 
 class TestLinearProbe:
     def test_separable_two_class(self):

@@ -412,6 +412,35 @@ class TestResumeContract:
             train_stage1(data, cia, TrainConfig(seed=0, base_lr=1e-3, **SMALL_CFG), resume=ck)
 
 
+class TestStoredWidth:
+    """Features held at their stored f32 width give the bits their float64 widening gives."""
+
+    def test_adapt_views_without_cia_widens(self, data, widened):
+        assert data.image_feats.dtype == data.text_feats.dtype == np.float32
+        views = [adapt_views(d.image_feats[:, :1], None, CiaConfig()) for d in (data, widened(data))]
+        assert views[0].dtype == views[1].dtype == np.float64
+        assert views[0].tobytes() == views[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "stage, with_cia, views_limit",
+        [("stage1", True, None), ("stage2", True, None), ("stage2", False, None), ("stage2", False, 1), ("joint", True, 1)],
+        ids=["stage1", "stage2-cia", "stage2-no-cia", "stage2-no-cia-views-1", "joint-views-1"],
+    )
+    def test_fits_equal_bitwise(self, data, widened, stage, with_cia, views_limit):
+        cia = small_models(data.spec.feature_dim)[0] if with_cia else None
+        cfg = TrainConfig(seed=0, **SMALL_CFG)
+        (blocks, rows, optim), (wide_blocks, wide_rows, wide_optim) = (
+            fit_stage(stage, d, cia, cfg, views_limit=views_limit) for d in (data, widened(data))
+        )
+        assert rows == wide_rows
+        for name in blocks:
+            assert blocks[name].tobytes() == wide_blocks[name].tobytes()
+        for name in optim.m:
+            assert (optim.m[name].tobytes(), optim.v[name].tobytes()) == (
+                wide_optim.m[name].tobytes(), wide_optim.v[name].tobytes()
+            )
+
+
 class TestStage2:
     def test_cia_frozen(self, data):
         cia, pe, iaa, taa = small_models(data.spec.feature_dim)
@@ -625,7 +654,8 @@ from tamm.train import TrainConfig, model_blocks, train_onestage, train_stage1, 
 
 data = generate(DatasetSpec(seed=1, classes=5, samples_per_class=26, heldout_classes=2, views=2, points_per_cloud=64))
 h = hashlib.sha256(repr(data.spec.shift_strength).encode())
-for arr in (np.asarray(data.points, dtype=np.float64), data.image_feats, data.text_feats, data.labels):
+floats = [np.asarray(a, dtype=np.float64) for a in (data.points, data.image_feats, data.text_feats)]
+for arr in (*floats, data.labels):
     h.update(arr.tobytes())
 print("dataset", h.hexdigest())
 d = data.spec.feature_dim
