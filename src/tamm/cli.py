@@ -8,14 +8,15 @@ functions of the effective config, so rerunning a command reproduces its
 artifacts byte for byte.
 
 Exit codes: 0 success, 1 check failure, 2 config error (includes a config too
-large for memory), 3 a path that cannot be read or written (missing file,
-directory, permissions), 4 incompatibility (includes malformed binary
-artifacts).
+large for memory and an output path naming another path flag's file), 3 a
+path that cannot be read or written (missing file, directory, permissions), 4
+incompatibility (includes malformed binary artifacts).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -89,12 +90,33 @@ def build_configs(args) -> tuple[DatasetSpec, TrainConfig]:
     return DatasetSpec(**parsed(_DATASET_FIELDS)), TrainConfig(**parsed(_TRAIN_FIELDS))
 
 
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_shared_paths(inputs: dict, outputs: dict, allowed: set) -> None:
+    """Before anything is read: no output flag may name the file of an input
+    or of an earlier output, save the (output, input) pairs ``allowed``."""
+    named = [(flag, path) for flag, path in inputs.items() if path]
+    for flag, path in outputs.items():
+        if not path:
+            continue
+        for other, other_path in named:
+            if (flag, other) not in allowed and _same_file(path, other_path):
+                raise ConfigError(f"{flag} names the same file as {other}: {path}")
+        named.append((flag, path))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_datagen(args) -> int:
+    _refuse_shared_paths({"--config": args.config}, {"--out": args.out}, set())
     spec, _ = build_configs(args)
     tset = datagen.generate(spec)
     write_triplets(tset, args.out)
@@ -126,6 +148,11 @@ def _stage2_cia(args, d: int) -> AdapterParams | None:
 
 
 def cmd_pretrain(args) -> int:
+    _refuse_shared_paths(
+        {"--config": args.config, "--data": args.data, "--cia": args.cia, "--resume": args.resume},
+        {"--out": args.out, "--metrics": _metrics_path(args)},
+        {("--out", "--resume")},  # a resume continues its run in place
+    )
     given = {"--views": args.views is not None, "--cia": args.cia is not None, "--no-cia": args.cia_off}
     for flag in {"1": ("--views", "--cia", "--no-cia"), "2": (), "joint": ("--cia", "--no-cia")}[args.stage]:
         if given[flag]:
@@ -177,6 +204,7 @@ def _eval_split_indices(data, split: str) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
+    _refuse_shared_paths({"--ckpt": args.ckpt, "--data": args.data}, {"--report": args.report}, set())
     try:
         ks = sorted({int(k) for k in args.topk.split(",")})
     except ValueError:

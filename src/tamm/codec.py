@@ -69,10 +69,9 @@ class FramedReader:
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def array(self, dtype: str, shape: tuple[int, ...], what: str, to=None) -> np.ndarray:
+    def array(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
         """The next ``shape`` values stored as ``dtype``, copied in native byte
-        order at that width, or converted straight from the file's bytes ``to``
-        (which only the dataset labels use: stored as u32, held as int64)."""
+        order at that width."""
         if len(shape) > 32:  # numpy's rank limit
             raise FormatError(f"{self.kind} {what} has rank {len(shape)} at byte {self.offset}")
         start, item = self.offset, np.dtype(dtype).itemsize
@@ -81,7 +80,7 @@ class FramedReader:
             finite = np.isfinite(values)
             if not finite.all():
                 raise FormatError(f"non-finite {self.kind} {what} value at byte {start + int(np.argmin(finite)) * item}")
-        return values.reshape(shape).astype(to or values.dtype.newbyteorder("="))
+        return values.reshape(shape).astype(values.dtype.newbyteorder("="))
 
     def text(self, size: int, what: str) -> str:
         start = self.offset

@@ -166,20 +166,21 @@ def batched_contrastive_accuracy(image_feats, text_feats) -> float:
     return contrastive_accuracy(img_stack, txt_stack)
 
 
-def _shifted_views(enc: FrozenEncoderSpec, unshifted: np.ndarray, s: float, dtype=np.float64) -> np.ndarray:
-    """Every view of the (n, m, d) unit features pushed through the domain
-    shift at strength s and renormalized, stored as ``dtype``."""
-    shifted = np.empty(unshifted.shape, dtype)
-    for k in range(unshifted.shape[1]):
-        shifted[:, k] = nk.l2_normalize(shift_apply(unshifted[:, k], enc, s)).value
-    return shifted
+def _views(enc: FrozenEncoderSpec, visual: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """Store each view of the (n, z) visual latents in the (n, m, d) ``out``: shifted at
+    strength s and renormalized, or at s = 0 as embedded, since renormalizing moves bits."""
+    for k in range(out.shape[1]):
+        view = frozen_image_embed(visual, k, enc)
+        out[:, k] = nk.l2_normalize(shift_apply(view, enc, s)).value if s > 0.0 else view
+    return out
 
 
-def _tune_shift(enc: FrozenEncoderSpec, unshifted: np.ndarray, texts: np.ndarray) -> float:
-    """Bisection on the shift strength until held-out accuracy hits the band."""
+def _tune_shift(enc: FrozenEncoderSpec, visual: np.ndarray, m: int, texts: np.ndarray) -> float:
+    """Bisection on the shift strength until the held-out views' accuracy hits the band."""
+    views = np.empty((len(visual), m, enc.feature_dim))
 
     def acc_at(s: float) -> float:
-        return batched_contrastive_accuracy(_shifted_views(enc, unshifted, s), texts)
+        return batched_contrastive_accuracy(_views(enc, visual, s, views), texts)
 
     lo_acc = acc_at(1.0)
     if lo_acc > _TUNE_INNER_BAND[1]:
@@ -230,6 +231,14 @@ def generate(spec: DatasetSpec) -> TripletSet:
     inst = rng.normal(size=(n, n_inst))
     inst *= (INSTANCE_JITTER * np.sqrt(n_inst)) / np.linalg.norm(inst, axis=1, keepdims=True)
     latents[:, n_cls_dims:] += inst
+    visual = latents * vis
+    text_feats = frozen_text_embed(latents * sem, enc)
+    # tuning draws nothing from rng, so it can refuse a spec before any cloud is drawn
+    if spec.shift_strength is None:
+        held = np.flatnonzero(labels >= spec.seen_classes)
+        strength = _tune_shift(enc, visual[held], m, text_feats[held])
+    else:
+        strength = spec.shift_strength
 
     # clouds are a fixed, well-separated blob template (cube vertices) whose
     # per-blob displacements are linear in the visual latent; identifiable
@@ -237,7 +246,7 @@ def generate(spec: DatasetSpec) -> TripletSet:
     geo = rng.normal(0.0, 1.0 / np.sqrt(z), size=(z, GEOM_ANCHORS * 3))
     corners = np.array([[x, y, w] for x in (-1, 1) for y in (-1, 1) for w in (-1, 1)], dtype=np.float64)
     bases = GEOM_BASE_SCALE * corners[np.arange(GEOM_ANCHORS) % 8]
-    centers = bases + ((latents * vis) @ geo).reshape(n, GEOM_ANCHORS, 3)
+    centers = bases + (visual @ geo).reshape(n, GEOM_ANCHORS, 3)
     # the scaled jitter plus the centre of each point's blob, point p sitting
     # on blob p % GEOM_ANCHORS, in float64 per block of clouds; successive
     # blocks draw what one whole draw would, and storing a block rounds it to
@@ -253,21 +262,7 @@ def generate(spec: DatasetSpec) -> TripletSet:
         block[:, whole:] += near[:, : n_pts - whole]
         points[lo : lo + POINT_BLOCK] = block
 
-    text_feats = frozen_text_embed(latents * sem, enc)
-    unshifted = np.stack([frozen_image_embed(latents * vis, k, enc) for k in range(m)], axis=1)
-
-    if spec.shift_strength is None:
-        held = np.flatnonzero(labels >= spec.seen_classes)
-        strength = _tune_shift(enc, unshifted[held], text_feats[held])
-    else:
-        strength = spec.shift_strength
-    # the final views are rounded to f32 as each is stored; renormalizing at
-    # s = 0 would move bits, so an unshifted set stores its views as they are
-    if strength > 0.0:
-        image_feats = _shifted_views(enc, unshifted, strength, np.float32)
-    else:
-        image_feats = unshifted.astype(np.float32)
-
+    image_feats = _views(enc, visual, strength, np.empty((n, m, spec.feature_dim), np.float32))  # f32 as stored
     return TripletSet(
         spec=replace(spec, shift_strength=strength),
         points=points,
@@ -308,7 +303,7 @@ def read_triplets(path) -> TripletSet:
     image_feats = reader.array("<f4", (n, views, d), "image features")
     text_feats = reader.array("<f4", (n, d), "text features")
     labels_at = reader.offset
-    labels = reader.array("<u4", (n,), "labels", np.int64)
+    labels = reader.array("<u4", (n,), "labels").astype(np.int64)
     reader.finish()
     outside = np.flatnonzero(labels >= spec.classes)
     if outside.size:

@@ -116,11 +116,15 @@ def contrastive_accuracy(fa, fb) -> float:
     score is the mean of the k per-batch fractions.
     """
     a, b = _aligned_pair(fa, fb, 3)
-    n = a.shape[1]
-    if n < 2:
+    if a.shape[1] < 2:
         raise ConfigError("contrastive_accuracy needs at least two pairs")
-    scores = np.matmul(a, b.transpose(0, 2, 1))
+    return _match_rate(np.matmul(a, b.transpose(0, 2, 1)))
+
+
+def _match_rate(scores: np.ndarray) -> float:
+    """Mean over a (k, n, n) score stack of the share of rows whose diagonal strictly beats the
+    rest of its row; overwrites the diagonal. Untraced, so a helper thread may call it."""
+    on_diag = range(scores.shape[1])
     diag = np.diagonal(scores, axis1=1, axis2=2).copy()
-    rows = np.arange(n)
-    scores[:, rows, rows] = -np.inf
+    scores[:, on_diag, on_diag] = -np.inf
     return float(np.mean((diag > scores.max(axis=2)).mean(axis=1)))

@@ -26,7 +26,7 @@ from .codec import FramedReader, atomic_open, format_value, parse_value, write_f
 from .datagen import ACCURACY_BATCH, PRETRAIN, EVAL_HELDOUT, TripletSet
 from .encoders import PointEncoderParams, _lane_count, encode_points
 from .errors import ConfigError, DegenerateVectorError, FormatError, IncompatibilityError, ShapeError
-from .losses import LossConfig, contrastive_loss, trimodal_loss
+from .losses import LossConfig, _match_rate, contrastive_loss, trimodal_loss
 
 ADAM_EPS = 1e-8
 
@@ -387,11 +387,7 @@ def _accuracy_check(splits, hidden: int, cfg: CiaConfig):
             blend /= norms
             np.copyto(stack, batches)
             np.matmul(stack, txt_t, out=scores)  # each view's batches against the same text batches
-            flat = scores.reshape(-1, *scores.shape[2:])  # contrastive_accuracy's score from here
-            on_diag = range(flat.shape[1])
-            diag = np.diagonal(flat, axis1=1, axis2=2).copy()
-            flat[:, on_diag, on_diag] = -np.inf
-            accs.append(float(np.mean((diag > flat.max(axis=2)).mean(axis=1))))
+            accs.append(_match_rate(scores.reshape(-1, *scores.shape[2:])))
         return accs
 
     return check

@@ -342,6 +342,52 @@ class TestPretrain:
         assert capsys.readouterr().out.splitlines() == [f"wrote {out}; no epoch ran, {csv} left as it was"]
 
 
+class TestSharedPaths:
+    """An output flag naming an input's or another output's file exits 2
+    before anything is read or written."""
+
+    # argv over the run's folder {dir}: dataset {D}, checkpoints {S1} and {S2}, config {C}; the two flags named
+    CASES = {
+        "datagen-out-is-config": (["datagen", "--config", "{C}", "--out", "{C}"], "--out", "--config"),
+        "out-is-data": (["pretrain", "--stage", "1", "--data", "{D}", "--out", "{D}"], "--out", "--data"),
+        "out-is-config": (["pretrain", "--stage", "1", "--config", "{C}", "--data", "{D}", "--out", "{C}"],
+                          "--out", "--config"),
+        "out-is-cia": (["pretrain", "--stage", "2", "--data", "{D}", "--cia", "{S1}", "--out", "{S1}"], "--out", "--cia"),
+        "metrics-is-out": (["pretrain", "--stage", "1", "--data", "{D}", "--out", "{dir}/n.ckpt",
+                            "--metrics", "{dir}/n.ckpt"], "--metrics", "--out"),
+        "metrics-is-out-spelled-apart": (["pretrain", "--stage", "1", "--data", "{D}", "--out", "{dir}/n.ckpt",
+                                          "--metrics", "{dir}/gone/../n.ckpt"], "--metrics", "--out"),
+        "metrics-is-data": (["pretrain", "--stage", "1", "--data", "{D}", "--out", "{dir}/n.ckpt", "--metrics", "{D}"],
+                            "--metrics", "--data"),
+        "metrics-links-to-data": (["pretrain", "--stage", "1", "--data", "{D}", "--out", "{dir}/n.ckpt",
+                                   "--metrics", "{dir}/link"], "--metrics", "--data"),
+        "metrics-is-resume": (["pretrain", "--stage", "1", "--data", "{D}", "--resume", "{S1}", "--out", "{dir}/n.ckpt",
+                               "--metrics", "{S1}"], "--metrics", "--resume"),
+        "default-metrics-is-data": (["pretrain", "--stage", "1", "--data", "{dir}/o.ckpt.metrics.csv",
+                                     "--out", "{dir}/o.ckpt"], "--metrics", "--data"),
+        "report-is-data": (["eval", "--task", "zeroshot", "--ckpt", "{S2}", "--data", "{D}", "--report", "{D}"],
+                           "--report", "--data"),
+        "report-is-ckpt": (["eval", "--task", "zeroshot", "--ckpt", "{S2}", "--data", "{D}", "--report", "{S2}"],
+                           "--report", "--ckpt"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_pair_exit_2_and_no_file_touched(self, workdir, tmp_path, capsys, case):
+        argv, flag, other = self.CASES[case]
+        paths = {"dir": tmp_path, "D": tmp_path / "data.bin", "S1": tmp_path / "s1.ckpt", "S2": tmp_path / "s2.ckpt",
+                 "C": tmp_path / "c.txt"}
+        for name in ("data.bin", "s1.ckpt", "s2.ckpt"):
+            (tmp_path / name).write_bytes((workdir / name).read_bytes())
+        (tmp_path / "o.ckpt.metrics.csv").write_bytes((workdir / "data.bin").read_bytes())
+        (tmp_path / "c.txt").write_text("seed=0\n")
+        (tmp_path / "link").symlink_to(tmp_path / "data.bin")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {flag} names the same file as {other}: ")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def run_id(metrics_csv) -> str:
     """The one ``run_id`` a metrics CSV's rows carry."""
     ids = {line.split(",")[0] for line in metrics_csv.read_text().splitlines()[1:]}

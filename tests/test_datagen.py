@@ -105,7 +105,10 @@ class TestGenerate:
         # Every array is held at the f32 width the file stores, so a set is
         # 12.5 MiB and write_triplets copies nothing; with float64 features a
         # set was 16.1 MiB, write_triplets peaked 3.7 MiB above it and
-        # read_triplets at 28.8 MiB
+        # read_triplets at 28.8 MiB. generate builds each image view once,
+        # straight into the f32 array it returns, and tunes the shift on the
+        # held-out views in one float64 buffer; with a float64 stack of every
+        # view and fresh shifted copies per bisection step it peaked at 27.7 MiB
         tracemalloc.start()
         try:
             tset = generate(DatasetSpec())
@@ -121,10 +124,23 @@ class TestGenerate:
             read_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert generate_peak <= 32 * 2**20
+        assert generate_peak <= 22 * 2**20
         assert held_bytes <= 13 * 2**20
         assert write_peak <= 1 * 2**20
         assert read_peak <= 26 * 2**20
+
+    def test_untunable_shift_refused_before_any_cloud_is_drawn(self):
+        # seed 406's views reach the top of the band even at s = 1; the
+        # 8.8 MiB of clouds a default set holds are never allocated (drawing
+        # them first, the refusal peaked at 27.7 MiB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="domain shift too weak to reach the target band"):
+                generate(DatasetSpec(seed=406))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 2**20
 
     def test_split_disjointness(self, tuned_set):
         pre = set(tuned_set.indices(PRETRAIN).tolist())
