@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import numkit as nk
 from .codec import FramedReader, write_framed
-from .encoders import MIN_CLOUD_POINTS, FrozenEncoderSpec, frozen_image_embed, frozen_text_embed, shift_apply
+from .encoders import MIN_CLOUD_POINTS, FrozenEncoderSpec, frozen_image_views, frozen_text_embed
 from .errors import ConfigError, FormatError, ShapeError
 from .losses import contrastive_accuracy
 
@@ -139,8 +138,6 @@ class TripletSet:
                 picked.append(rows[:n_train])
             elif tag == EVAL_SEEN:
                 picked.append(rows[n_train:])
-        if not picked:
-            return np.zeros(0, dtype=np.int64)
         return np.concatenate(picked)
 
 
@@ -166,21 +163,12 @@ def batched_contrastive_accuracy(image_feats, text_feats) -> float:
     return contrastive_accuracy(img_stack, txt_stack)
 
 
-def _views(enc: FrozenEncoderSpec, visual: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
-    """Store each view of the (n, z) visual latents in the (n, m, d) ``out``: shifted at
-    strength s and renormalized, or at s = 0 as embedded, since renormalizing moves bits."""
-    for k in range(out.shape[1]):
-        view = frozen_image_embed(visual, k, enc)
-        out[:, k] = nk.l2_normalize(shift_apply(view, enc, s)).value if s > 0.0 else view
-    return out
-
-
 def _tune_shift(enc: FrozenEncoderSpec, visual: np.ndarray, m: int, texts: np.ndarray) -> float:
     """Bisection on the shift strength until the held-out views' accuracy hits the band."""
     views = np.empty((len(visual), m, enc.feature_dim))
 
     def acc_at(s: float) -> float:
-        return batched_contrastive_accuracy(_views(enc, visual, s, views), texts)
+        return batched_contrastive_accuracy(frozen_image_views(visual, enc, s, views), texts)
 
     lo_acc = acc_at(1.0)
     if lo_acc > _TUNE_INNER_BAND[1]:
@@ -262,7 +250,7 @@ def generate(spec: DatasetSpec) -> TripletSet:
         block[:, whole:] += near[:, : n_pts - whole]
         points[lo : lo + POINT_BLOCK] = block
 
-    image_feats = _views(enc, visual, strength, np.empty((n, m, spec.feature_dim), np.float32))  # f32 as stored
+    image_feats = frozen_image_views(visual, enc, strength, np.empty((n, m, spec.feature_dim), np.float32))  # f32 as stored
     return TripletSet(
         spec=replace(spec, shift_strength=strength),
         points=points,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit as nk
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 from .numkit import OVERFLOW_SAFE, GradPair
 
 N_SHIFT_PLANES = 6
@@ -72,7 +72,7 @@ class FrozenEncoderSpec:
         mixers = rng.normal(0.0, 1.0 / math.sqrt(latent_dim), size=(max_views, latent_dim, noise_dim))
         view_projs = np.einsum("kzc,dc->kzd", mixers, complement)
         basis, _ = np.linalg.qr(rng.normal(size=(feature_dim, 2 * N_SHIFT_PLANES + 1)))
-        spec = cls(
+        return cls(
             seed=int(seed),
             latent_dim=int(latent_dim),
             feature_dim=int(feature_dim),
@@ -83,10 +83,6 @@ class FrozenEncoderSpec:
             shift_v=basis[:, 1 : 2 * N_SHIFT_PLANES : 2].T.copy(),
             shift_bias_dir=basis[:, -1].copy(),
         )
-        cond = np.linalg.cond(shift_matrix(spec, 1.0))
-        if not cond < 1e3:
-            raise NumericError(f"shift transform badly conditioned: cond={cond:.3e}")
-        return spec
 
 
 def shift_matrix(spec: FrozenEncoderSpec, s: float) -> np.ndarray:
@@ -116,16 +112,22 @@ def frozen_text_embed(latent, spec: FrozenEncoderSpec) -> np.ndarray:
     return nk.l2_normalize(arr @ spec.text_proj).value
 
 
-def frozen_image_embed(latent, view_index: int, spec: FrozenEncoderSpec) -> np.ndarray:
-    """Unshifted image-path feature: a per-view perturbation of the text-path
-    embedding, renormalized."""
-    if not 0 <= view_index < spec.max_views:
-        raise ConfigError(f"view index {view_index} outside [0, {spec.max_views})")
+def frozen_image_views(latent, spec: FrozenEncoderSpec, s: float, out: np.ndarray) -> np.ndarray:
+    """Store the image-path views of the (n, z) latents in the (n, m, d) ``out``.
+
+    View k is a per-view perturbation of the text-path embedding, renormalized;
+    at s > 0 it is then shifted at strength s and renormalized again, and at
+    s = 0 stored as embedded, since renormalizing moves bits."""
     arr = nk.as_f64(latent, "image latent")
     if arr.shape[-1] != spec.latent_dim:
         raise ShapeError(f"latent dim {arr.shape[-1]} != spec latent dim {spec.latent_dim}")
-    raw = arr @ spec.text_proj + VIEW_SCALE * (arr @ spec.view_projs[view_index])
-    return nk.l2_normalize(raw).value
+    if out.shape[1] > spec.max_views:
+        raise ConfigError(f"{out.shape[1]} views exceed the spec's {spec.max_views}")
+    shared = arr @ spec.text_proj
+    for k in range(out.shape[1]):
+        view = nk.l2_normalize(shared + VIEW_SCALE * (arr @ spec.view_projs[k])).value
+        out[:, k] = nk.l2_normalize(shift_apply(view, spec, s)).value if s > 0.0 else view
+    return out
 
 
 # ---------------------------------------------------------------------------

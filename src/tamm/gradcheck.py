@@ -174,7 +174,7 @@ CASES: dict[str, Callable] = {
     "contrastive_loss": _case_contrastive,
     "trimodal_loss": _case_trimodal,
     "point_encoder": _case_point_encoder,
-    "stage1_step": lambda: _step_case(lambda v, t, _, cfg: stage1_step(v[:, 0], t, cfg), ["cia.w1", "cia.w2"], "loss"),
+    "stage1_step": lambda: _step_case(lambda v, t, _, cfg: stage1_step(v[:, :1], t, cfg), ["cia.w1", "cia.w2"], "loss"),
     "stage2_step": lambda: _step_case(
         stage2_step, ["pe.w1", "pe.w2", "pe.head", "iaa.w1", "iaa.w2", "taa.w1", "taa.w2"], "loss"
     ),

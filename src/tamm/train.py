@@ -289,12 +289,15 @@ def _trimodal_step(params, clouds, texts, views, loss_cfg: LossConfig, want_grad
     return tl, model_blocks(None, pe_grads, AdapterParams(g_v1, g_v2), AdapterParams(g_t1, g_t2))
 
 
-def stage1_step(images: np.ndarray, texts: np.ndarray, cfg: TrainConfig):
-    """Stage 1 over aligned (n, d) image/text rows: the realign loss of the cia."""
+def stage1_step(views: np.ndarray, texts: np.ndarray, cfg: TrainConfig):
+    """Stage 1 over (n, m, d) image views: the realign loss of the cia, with
+    every (sample, view) pair one example; example r is view r % m of sample r // m."""
     loss_cfg, cia_cfg = LossConfig(cfg.tau), CiaConfig(cfg.alpha)
+    m = views.shape[1]
+    rows = views.reshape(-1, views.shape[2])
 
     def step(params, take, want_grads):
-        loss, _, grads = _realign_step(params, [images[take]], texts[take], 1.0, loss_cfg, cia_cfg, want_grads)
+        loss, _, grads = _realign_step(params, [rows[take]], texts[take // m], 1.0, loss_cfg, cia_cfg, want_grads)
         return {"loss": loss}, grads
 
     return step
@@ -434,21 +437,21 @@ def train_stage1(
     adapter, one metrics row per epoch (plus an epoch-0 row for the untrained
     state), and the final optimizer state.
     """
-    # pretrain and held-out features of the per-epoch diagnostic, gathered and widened once
+    # the pretrain features stage 1 fits and the held-out ones of the per-epoch diagnostic, gathered and widened once
     splits = [
         (nk.as_f64(data.image_feats[idx], "image features"), nk.as_f64(data.text_feats[idx], "text features"))
         for idx in map(data.indices, (PRETRAIN, EVAL_HELDOUT))
     ]
-    imgs = splits[0][0].reshape(-1, data.spec.feature_dim)
-    txts = np.repeat(splits[0][1], data.spec.views, axis=0)
     check = _accuracy_check(splits, cia.w1.shape[1], CiaConfig(cfg.alpha))
 
     def on_epoch(params, means):
         pre, held = check(blocks_to_model(params)[0])
         return {**means, "acc_pretrain": pre, "acc_heldout": held}
 
-    step = stage1_step(imgs, txts, cfg)
-    params, rows, optim = _fit(model_blocks(cia), step, len(imgs), cfg, run_meta("stage1", data), resume, on_epoch)
+    views, texts = splits[0]
+    step = stage1_step(views, texts, cfg)
+    n = views.shape[0] * views.shape[1]
+    params, rows, optim = _fit(model_blocks(cia), step, n, cfg, run_meta("stage1", data), resume, on_epoch)
     return blocks_to_model(params)[0], rows, optim
 
 
@@ -469,7 +472,7 @@ def train_stage2(
     """
     m = views_count(data, views_limit)
     idx = data.indices(PRETRAIN)
-    adapted = adapt_views(data.image_feats[idx][:, :m], cia, CiaConfig(cfg.alpha))
+    adapted = adapt_views(data.image_feats[idx, :m], cia, CiaConfig(cfg.alpha))
     step = stage2_step(adapted, data.text_feats[idx], data.points[idx], cfg)
     blocks = model_blocks(None, encoder, iaa, taa)
     params, rows, optim = _fit(blocks, step, idx.size, cfg, run_meta("stage2", data, m), resume, frozen=model_blocks(cia))
@@ -491,7 +494,7 @@ def train_onestage(
     (see ``joint_step``)."""
     m = views_count(data, views_limit)
     idx = data.indices(PRETRAIN)
-    step = joint_step(data.image_feats[idx][:, :m], data.text_feats[idx], data.points[idx], cfg)
+    step = joint_step(data.image_feats[idx, :m], data.text_feats[idx], data.points[idx], cfg)
 
     def on_epoch(params, means):
         return {"loss": means["loss_realign"] + means["loss_trimodal"], **means}

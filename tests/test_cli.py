@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import resource
@@ -710,3 +711,24 @@ class TestGradcheckCommand:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines if line.endswith("FAIL")] == ["contrastive_loss"]
         assert sum(line.endswith("PASS") for line in lines) == len(gradcheck.CASES) - 1
+
+
+def test_no_module_reads_an_environment_variable():
+    # the README promises that flags and config files are tamm's only inputs:
+    # no module under src/tamm reads, sets or unsets a variable through os
+    banned = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+    found = []
+    for path in sorted(Path(cli.__file__).parent.rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(), str(path))))
+        imported = (a for node in nodes if isinstance(node, ast.Import) for a in node.names)
+        os_names = {a.asname or a.name for a in imported if a.name == "os"}
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in os_names:
+                name = node.attr
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                name = next((a.name for a in node.names if a.name in banned), None)
+            else:
+                continue
+            if name in banned:
+                found.append(f"{path.name}:{node.lineno} os.{name}")
+    assert found == []

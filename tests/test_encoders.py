@@ -15,10 +15,11 @@ from tamm.encoders import (
     GROUP,
     MIN_CLOUD_POINTS,
     SHIFT_BIAS_SCALE,
+    VIEW_SCALE,
     FrozenEncoderSpec,
     PointEncoderParams,
     encode_points,
-    frozen_image_embed,
+    frozen_image_views,
     frozen_text_embed,
     init_point_encoder,
     shift_apply,
@@ -34,6 +35,11 @@ SHIFT = 0.6
 @pytest.fixture(scope="module")
 def spec():
     return FrozenEncoderSpec.build(seed=7, latent_dim=16, feature_dim=64, max_views=4)
+
+
+def image_views(latent, spec, s=0.0):
+    """All ``spec.max_views`` image views of the (n, z) latents at strength s, as float64."""
+    return frozen_image_views(latent, spec, s, np.empty((len(latent), spec.max_views, spec.feature_dim)))
 
 
 class TestFrozenPaths:
@@ -58,34 +64,53 @@ class TestFrozenPaths:
         rng = np.random.default_rng(3)
         latent = rng.normal(size=16)
         np.testing.assert_array_equal(frozen_text_embed(latent, spec), frozen_text_embed(latent, again))
-        np.testing.assert_array_equal(
-            frozen_image_embed(latent, 2, spec), frozen_image_embed(latent, 2, again)
-        )
+        np.testing.assert_array_equal(image_views(latent[None], spec), image_views(latent[None], again))
 
     def test_views_share_latent(self, spec):
         rng = np.random.default_rng(4)
-        latent = rng.normal(size=16)
-        feats = [frozen_image_embed(latent, k, spec) for k in range(4)]
+        feats = image_views(rng.normal(size=(1, 16)), spec)[0]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert float(feats[i] @ feats[j]) > 0.0
 
-    def test_view_index_validated(self, spec):
+    def test_view_count_validated(self, spec):
         with pytest.raises(ConfigError):
-            frozen_image_embed(np.ones(16), 4, spec)
+            frozen_image_views(np.ones((1, 16)), spec, 0.0, np.empty((1, 5, 64)))
 
     def test_zero_strength_shift_is_identity(self):
         s0 = FrozenEncoderSpec.build(seed=9, latent_dim=8, feature_dim=32, max_views=2)
         rng = np.random.default_rng(5)
-        feats = frozen_image_embed(rng.normal(size=(3, 8)), 0, s0)
+        feats = image_views(rng.normal(size=(3, 8)), s0)[:, 0]
         np.testing.assert_array_equal(shift_matrix(s0, 0.0), np.eye(32))
         np.testing.assert_array_equal(shift_apply(feats, s0, 0.0), feats)
 
     def test_shift_changes_features(self, spec):
-        rng = np.random.default_rng(6)
-        plain = frozen_image_embed(rng.normal(size=16), 0, spec)
-        shifted = nk.l2_normalize(shift_apply(plain, spec, SHIFT)).value
+        latent = np.random.default_rng(6).normal(size=(1, 16))
+        plain, shifted = image_views(latent, spec)[0, 0], image_views(latent, spec, SHIFT)[0, 0]
         assert np.linalg.norm(shifted - plain) > 0.1
+
+    @pytest.mark.parametrize("s", [0.0, SHIFT])
+    def test_views_equal_the_per_view_formula(self, spec, s):
+        # the reference embeds each view on its own, text product included,
+        # then shifts and renormalizes it (s > 0) or keeps it as embedded
+        latent = np.random.default_rng(8).normal(size=(50, 16))
+        views = image_views(latent, spec, s)
+        for k in range(4):
+            raw = latent @ spec.text_proj + VIEW_SCALE * (latent @ spec.view_projs[k])
+            view = nk.l2_normalize(raw).value
+            want = nk.l2_normalize(shift_apply(view, spec, s)).value if s > 0.0 else view
+            np.testing.assert_array_equal(views[:, k], want)
+
+    def test_shift_matrix_orthogonal_by_construction(self):
+        # rotations in orthonormal QR planes: the linear part is orthogonal at
+        # every seed, shape and strength, so building a spec checks no conditioning
+        for seed in range(200):
+            for z, d in ((4, 13), (8, 32), (16, 64), (32, 128)):
+                built = FrozenEncoderSpec.build(seed, z, d, max_views=1)
+                for s in (0.25, 0.5, 0.75, 1.0):
+                    m = shift_matrix(built, s)
+                    assert np.abs(m @ m.T - np.eye(d)).max() <= 1e-14
+                    assert abs(np.linalg.cond(m) - 1.0) <= 1e-14
 
     def test_shift_roundtrip(self, spec):
         # the linear part is orthogonal, so its transpose undoes it once the bias is off
@@ -98,6 +123,8 @@ class TestFrozenPaths:
     def test_latent_dim_checked(self, spec):
         with pytest.raises(ShapeError):
             frozen_text_embed(np.ones(5), spec)
+        with pytest.raises(ShapeError):
+            frozen_image_views(np.ones((1, 5)), spec, 0.0, np.empty((1, 1, 64)))
 
 
 class TestPointEncoder:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from tamm.adapters import AdapterParams, CiaConfig, init_adapter
 from tamm.datagen import EVAL_HELDOUT, PRETRAIN, DatasetSpec, batched_contrastive_accuracy, generate
 from tamm.encoders import init_point_encoder
 from tamm.errors import ConfigError, DegenerateVectorError, FormatError, IncompatibilityError, ShapeError
+from tamm.losses import LossConfig
 from tamm.train import (
     ADAM_EPS,
     Checkpoint,
@@ -184,7 +186,7 @@ class TestStage1:
     def test_first_steps_monotone_on_separable_batch(self, data):
         # fixed batch, fixed lr: the realign objective falls at every step
         idx = data.indices(PRETRAIN)[:16]
-        step = stage1_step(data.image_feats[idx, 0], data.text_feats[idx], TrainConfig())
+        step = stage1_step(data.image_feats[idx, :1], data.text_feats[idx], TrainConfig())
         cia, *_ = small_models(data.spec.feature_dim)
         params = model_blocks(cia)
         state = OptimState.zeros(params)
@@ -195,6 +197,42 @@ class TestStage1:
             params, state = adamw_step(params, grads, state, lr=1e-3)
         for a, b in zip(losses, losses[1:]):
             assert b < a
+
+    def test_step_equals_realign_on_flattened_pairs(self, data):
+        # example r of the (n, m, d) views is view r % m of sample r // m: the
+        # row r of the flattened views, against the texts repeated m times
+        idx = data.indices(PRETRAIN)
+        views, texts = data.image_feats[idx], data.text_feats[idx]
+        m = views.shape[1]
+        assert m == 2
+        cfg = TrainConfig()
+        step = stage1_step(views, texts, cfg)
+        flat, repeated = views.reshape(-1, views.shape[2]), np.repeat(texts, m, axis=0)
+        params = model_blocks(small_models(data.spec.feature_dim)[0])
+        take = np.random.default_rng(0).permutation(len(flat))[:16]
+        for want_grads in (False, True):
+            terms, grads = step(params, take, want_grads)
+            loss, _, want = train._realign_step(
+                params, [flat[take]], repeated[take], 1.0, LossConfig(cfg.tau), CiaConfig(cfg.alpha), want_grads
+            )
+            assert terms == {"loss": loss}
+            assert (grads is None) == (want is None)
+            for name in want or {}:
+                np.testing.assert_array_equal(grads[name], want[name])
+
+    def test_default_fit_memory_peak(self):
+        # stage 1 steps through the stored (n, m, d) views and (n, d) texts;
+        # flattening the views and repeating each text m times peaked at 17.2 MiB
+        data = generate(DatasetSpec())
+        d = data.spec.feature_dim
+        cia = init_adapter(d, d // 2, 101, "cia")
+        tracemalloc.start()
+        try:
+            train_stage1(data, cia, TrainConfig(total_epochs=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15.5 * 2**20
 
 
 def _unit_rows(rng, *shape):
