@@ -119,9 +119,10 @@ def cmd_datagen(args) -> int:
     _refuse_shared_paths({"--config": args.config}, {"--out": args.out}, set())
     spec, _ = build_configs(args)
     tset = datagen.generate(spec)
-    write_triplets(tset, args.out)
     held = tset.indices(datagen.EVAL_HELDOUT)
+    # scored before the write, so a set too small to score leaves no file
     acc = datagen.batched_contrastive_accuracy(tset.image_feats[held], tset.text_feats[held])
+    write_triplets(tset, args.out)
     print(f"wrote {args.out}")
     print(
         f"classes={spec.classes} samples_per_class={spec.samples_per_class} "

@@ -22,8 +22,8 @@ import numpy as np
 
 from .codec import FramedReader, write_framed
 from .encoders import MIN_CLOUD_POINTS, FrozenEncoderSpec, frozen_image_views, frozen_text_embed
-from .errors import ConfigError, FormatError, ShapeError
-from .losses import contrastive_accuracy
+from .errors import ConfigError, FormatError
+from .losses import _scorer, contrastive_accuracy
 
 MAGIC = b"TAMM"
 VERSION = 1
@@ -39,7 +39,6 @@ EVAL_SEEN = "eval-seen"
 EVAL_HELDOUT = "eval-heldout"
 SEEN_FRACTION = 0.8  # leading fraction of each seen class tagged pretrain
 
-ACCURACY_BATCH = 64
 TUNE_BAND = (0.35, 0.55)
 _TUNE_INNER_BAND = (0.39, 0.51)  # aim inside the band so f32 rounding cannot escape it
 
@@ -142,33 +141,17 @@ class TripletSet:
 
 
 def batched_contrastive_accuracy(image_feats, text_feats) -> float:
-    """Mean image-to-text matching accuracy over fixed consecutive batches.
-
-    ``image_feats`` is (n, m, d) and ``text_feats`` (n, d); every view
-    contributes its own batches of ``ACCURACY_BATCH``. A trailing partial
-    batch is dropped; fewer than ``ACCURACY_BATCH`` samples form one batch.
-    All batches are scored in one stacked call, view-major as the batch means
-    are averaged.
-    """
-    imgs = np.asarray(image_feats, dtype=np.float64)
-    txts = np.asarray(text_feats, dtype=np.float64)
-    if imgs.ndim != 3 or txts.ndim != 2 or txts.shape[0] != imgs.shape[0]:
-        raise ShapeError(f"text features {txts.shape} do not pair with (n, m, d) image features {imgs.shape}")
-    n, m, d = imgs.shape
-    size = min(ACCURACY_BATCH, n)
-    k = n // size
-    used = k * size
-    img_stack = imgs[:used].reshape(k, size, m, d).transpose(2, 0, 1, 3).reshape(m * k, size, d)
-    txt_stack = np.tile(txts[:used], (m, 1)).reshape(m * k, size, -1)
-    return contrastive_accuracy(img_stack, txt_stack)
+    """``contrastive_accuracy``: the held-out matching accuracy ``tamm datagen`` reports."""
+    return contrastive_accuracy(image_feats, text_feats)
 
 
 def _tune_shift(enc: FrozenEncoderSpec, visual: np.ndarray, m: int, texts: np.ndarray) -> float:
     """Bisection on the shift strength until the held-out views' accuracy hits the band."""
     views = np.empty((len(visual), m, enc.feature_dim))
+    score = _scorer(texts, m)
 
     def acc_at(s: float) -> float:
-        return batched_contrastive_accuracy(frozen_image_views(visual, enc, s, views), texts)
+        return score(frozen_image_views(visual, enc, s, views))
 
     lo_acc = acc_at(1.0)
     if lo_acc > _TUNE_INNER_BAND[1]:

@@ -20,6 +20,7 @@ from .numkit import GradPair
 
 
 TAU_MIN = 0.01  # CLIP's floor on its temperature: logits scaled by at most 100
+ACCURACY_BATCH = 64  # samples per batch the matching accuracy ranks texts within
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,11 @@ class LossConfig:
             raise ConfigError(f"tau must be finite and >= {TAU_MIN}, got {self.tau}")
 
 
-def _aligned_pair(fa, fb, rank: int = 2) -> tuple[np.ndarray, np.ndarray]:
+def _aligned_pair(fa, fb) -> tuple[np.ndarray, np.ndarray]:
     a = nk.as_f64(fa, "feature batch")
     b = nk.as_f64(fb, "feature batch")
-    if a.ndim != rank or b.ndim != rank:
-        raise ShapeError(f"feature batches must be {rank}-D, got {a.shape} and {b.shape}")
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"feature batches must be 2-D, got {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise ShapeError(f"feature batches must align row-for-row: {a.shape} vs {b.shape}")
     if 0 in a.shape[:-1]:
@@ -109,16 +110,39 @@ def trimodal_loss(f_sp, f_text, f_vp, views: Sequence, cfg: LossConfig) -> Trimo
     return TrimodalLoss(value, text_pair.value, image_term, backward)
 
 
-def contrastive_accuracy(fa, fb) -> float:
-    """Fraction of FA rows whose matched FB row is strictly the nearest FB row (ties fail).
+def contrastive_accuracy(image_feats, text_feats) -> float:
+    """Image-to-text matching accuracy of (n, m, d) image and (n, d) text features: each view's
+    rows form consecutive batches of ``ACCURACY_BATCH`` (fewer samples form one batch, a trailing
+    partial batch is dropped), and the score is the mean over those batches of the share of rows
+    whose own text is strictly the nearest text of the batch (ties fail)."""
+    imgs = nk.as_f64(image_feats, "image features")
+    txts = nk.as_f64(text_feats, "text features")
+    if imgs.ndim != 3 or imgs.shape[1] < 1 or txts.shape != (imgs.shape[0], imgs.shape[-1]):
+        raise ShapeError(f"text features {txts.shape} do not pair with (n, m >= 1, d) image features {imgs.shape}")
+    return _scorer(txts, imgs.shape[1])(imgs)
 
-    ``fa`` and ``fb`` are aligned (k, n, d) stacks of k batch pairs; the
-    score is the mean of the k per-batch fractions.
-    """
-    a, b = _aligned_pair(fa, fb, 3)
-    if a.shape[1] < 2:
-        raise ConfigError("contrastive_accuracy needs at least two pairs")
-    return _match_rate(np.matmul(a, b.transpose(0, 2, 1)))
+
+def _scorer(texts: np.ndarray, m: int, stack=None, scores=None) -> Callable[[np.ndarray], float]:
+    """``score(views)``: ``contrastive_accuracy(views, texts)`` of (n, m, d) float64 views, unchecked
+    and untraced, so a helper thread may call it. ``stack`` and ``scores`` are flat float64 buffers
+    for the view-major (m, k, size, d) batches and their (m, k, size, size) scores, made here when
+    None; the views may share memory with ``scores`` but not with ``stack``."""
+    n, d = texts.shape
+    size = min(ACCURACY_BATCH, n)
+    if size < 2:
+        raise ConfigError(f"matching accuracy needs at least 2 samples, got {n}")
+    k = n // size
+    txt_t = texts[: k * size].reshape(k, size, d).transpose(0, 2, 1)
+    stack = np.empty(m * k * size * d) if stack is None else stack[: m * k * size * d]
+    scores = np.empty(m * k * size * size) if scores is None else scores[: m * k * size * size]
+    stack, scores = stack.reshape(m, k, size, d), scores.reshape(m, k, size, size)
+
+    def score(views: np.ndarray) -> float:
+        np.copyto(stack, views[: k * size].reshape(k, size, m, d).transpose(2, 0, 1, 3))
+        np.matmul(stack, txt_t, out=scores)  # each view's batches against the same text batches
+        return _match_rate(scores.reshape(-1, size, size))
+
+    return score
 
 
 def _match_rate(scores: np.ndarray) -> float:

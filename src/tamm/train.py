@@ -23,10 +23,10 @@ import numpy as np
 from . import numkit as nk
 from .adapters import AdapterParams, CiaConfig, cia_forward, dual_forward
 from .codec import FramedReader, atomic_open, format_value, parse_value, write_framed
-from .datagen import ACCURACY_BATCH, PRETRAIN, EVAL_HELDOUT, TripletSet
+from .datagen import PRETRAIN, EVAL_HELDOUT, TripletSet
 from .encoders import PointEncoderParams, _lane_count, encode_points
 from .errors import ConfigError, DegenerateVectorError, FormatError, IncompatibilityError, ShapeError
-from .losses import LossConfig, _match_rate, contrastive_loss, trimodal_loss
+from .losses import ACCURACY_BATCH, LossConfig, _scorer, contrastive_loss, trimodal_loss
 
 ADAM_EPS = 1e-8
 
@@ -344,36 +344,29 @@ def adapt_views(image_feats: np.ndarray, cia: AdapterParams | None, cfg: CiaConf
 
 
 def _accuracy_check(splits, hidden: int, cfg: CiaConfig):
-    """``check(cia)``: ``batched_contrastive_accuracy(adapt_views(images, cia,
-    cfg), texts)`` of each (n, m, d) image / (n, d) text split, bit for bit, in
-    work buffers built here once, calling nothing perfbench traces (its tracer
-    keeps one span stack). Weights are checked on every call, the hidden layer
-    and blend only under ``numkit.matmul``'s overflow bound."""
+    """``check(cia)``: ``contrastive_accuracy(adapt_views(images, cia, cfg),
+    texts)`` of each (n, m, d) image / (n, d) text split, bit for bit, in work
+    buffers built here once, calling nothing perfbench traces (its tracer keeps
+    one span stack). Weights are checked on every call, the hidden layer and
+    blend only under ``numkit.matmul``'s overflow bound."""
     d = splits[0][0].shape[2]
     n_rows = max(images.shape[0] * images.shape[1] for images, _ in splits)
-    # the scores reuse the blend's buffer once its rows are stacked, and the hidden layer the spare one
+    # the scores reuse the blend's buffer, and the hidden layer and the scorer's stack the spare one
     bufs = [np.empty(n_rows * width) for width in (max(d, ACCURACY_BATCH), max(d, hidden), 1)]
     prepared = []
     for images, texts in splits:
         n, m, _ = images.shape
-        size = min(ACCURACY_BATCH, n)
-        if size < 2:
-            raise ConfigError("contrastive_accuracy needs at least two pairs")
-        k = n // size
+        score = _scorer(nk.as_f64(texts, "text features"), m, stack=bufs[1], scores=bufs[0])
         x, x_max = nk._checked(images.reshape(-1, d), "image features")
-        txt_t = nk.as_f64(texts[: k * size], "text features").reshape(k, size, d).transpose(0, 2, 1)
-        views = [(0, n * m, d), (1, n * m, hidden), (1, n * m, d), (2, n * m, 1), (0, m, k, size, size)]
-        blend, hid, spare, norms, scores = (bufs[i][: math.prod(s)].reshape(s) for i, *s in views)
-        # the adapted rows of the whole batches, view-major as batched_contrastive_accuracy stacks them
-        batches = blend.reshape(n, m, d)[: k * size].reshape(k, size, m, d).transpose(2, 0, 1, 3)
-        stack = spare.reshape(-1)[: batches.size].reshape(batches.shape)
-        prepared.append((x, x_max, txt_t, blend, hid, spare, norms, batches, stack, scores))
+        views = [(0, n * m, d), (1, n * m, hidden), (1, n * m, d), (2, n * m, 1)]
+        blend, hid, spare, norms = (bufs[i][: math.prod(s)].reshape(s) for i, *s in views)
+        prepared.append((x, x_max, blend, hid, spare, norms, blend.reshape(n, m, d), score))
 
     def check(cia: AdapterParams) -> list[float]:
         w1, w1_max = nk._checked(cia.w1, "cia w1")
         w2, w2_max = nk._checked(cia.w2, "cia w2")
         accs = []
-        for x, x_max, txt_t, blend, hid, spare, norms, batches, stack, scores in prepared:
+        for x, x_max, blend, hid, spare, norms, adapted, score in prepared:
             np.matmul(x, w1, out=hid)
             if not d * x_max * w1_max < nk.OVERFLOW_SAFE:
                 nk._finite_out(hid, "cia hidden layer")
@@ -388,9 +381,7 @@ def _accuracy_check(splits, hidden: int, cfg: CiaConfig):
             if norms.min() <= nk.NORM_EPS:
                 raise DegenerateVectorError(f"cannot normalize: norm <= {nk.NORM_EPS}")
             blend /= norms
-            np.copyto(stack, batches)
-            np.matmul(stack, txt_t, out=scores)  # each view's batches against the same text batches
-            accs.append(_match_rate(scores.reshape(-1, *scores.shape[2:])))
+            accs.append(score(adapted))
         return accs
 
     return check

@@ -68,3 +68,26 @@ def widened():
         return dataclasses.replace(data, **wide)
 
     return use
+
+
+@pytest.fixture
+def tiled_accuracy():
+    """``tiled_accuracy(image_feats, text_feats)``: the matching accuracy of (n, m, d)
+    image and (n, d) text features in plain numpy, as a view-major image stack against
+    an m-fold tiled text stack in batches of 64; the shared scorer in ``tamm.losses``
+    must equal it bit for bit."""
+
+    def use(image_feats, text_feats):
+        imgs = np.asarray(image_feats, dtype=np.float64)
+        txts = np.asarray(text_feats, dtype=np.float64)
+        n, m, d = imgs.shape
+        size = min(64, n)
+        k = n // size
+        img_stack = imgs[: k * size].reshape(k, size, m, d).transpose(2, 0, 1, 3).reshape(m * k, size, d)
+        txt_stack = np.tile(txts[: k * size], (m, 1)).reshape(m * k, size, d)
+        scores = np.matmul(img_stack, txt_stack.transpose(0, 2, 1))
+        diag = np.diagonal(scores, axis1=1, axis2=2).copy()
+        scores[:, range(size), range(size)] = -np.inf
+        return float(np.mean((diag > scores.max(axis=2)).mean(axis=1)))
+
+    return use

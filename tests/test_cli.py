@@ -94,6 +94,14 @@ class TestDatagen:
         cfg.write_text("classes 5\n")
         assert main(["datagen", "--config", str(cfg), "--out", str(tmp_path / "x.bin")]) == 2
 
+    def test_held_out_set_too_small_to_score_exit_2(self, tmp_path, capsys):
+        # one held-out sample: the accuracy diagnostic is refused before the set is written
+        sets = ["classes=2", "heldout_classes=1", "samples_per_class=1", "shift_strength=0", "points_per_cloud=16"]
+        rc = main(["datagen", "--out", str(tmp_path / "x.bin"), *(arg for item in sets for arg in ("--set", item))])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: matching accuracy needs at least 2 samples, got 1"]
+        assert not (tmp_path / "x.bin").exists()
+
     def test_out_of_memory_exit_2(self, tmp_path, monkeypatch, capsys):
         message = "Unable to allocate 116. TiB for an array with shape (1000000000000, 16)"
 

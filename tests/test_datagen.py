@@ -1,3 +1,4 @@
+import functools
 import struct
 import tracemalloc
 
@@ -7,7 +8,6 @@ import pytest
 from tamm import datagen
 from tamm import numkit as nk
 from tamm.datagen import (
-    ACCURACY_BATCH,
     EVAL_HELDOUT,
     EVAL_SEEN,
     PRETRAIN,
@@ -20,7 +20,7 @@ from tamm.datagen import (
     write_triplets,
 )
 from tamm.errors import ConfigError, FormatError, ShapeError
-from tamm.losses import contrastive_accuracy
+from tamm.losses import ACCURACY_BATCH
 
 SMALL = dict(classes=6, samples_per_class=20, heldout_classes=2, views=2, points_per_cloud=32)
 
@@ -170,20 +170,6 @@ class TestGenerate:
             assert np.mean(matched > np.quantile(off, 0.95)) > 0.95
 
 
-def _reference_batched_accuracy(image_feats, text_feats) -> float:
-    """The per-batch loop the stacked accuracy replaced: one call per batch."""
-    imgs = np.asarray(image_feats, dtype=np.float64)
-    txts = np.asarray(text_feats, dtype=np.float64)
-    n = imgs.shape[0]
-    size = min(ACCURACY_BATCH, n)
-    accs = []
-    for k in range(imgs.shape[1]):
-        for start in range(0, n - size + 1, size):
-            rows = slice(start, start + size)
-            accs.append(contrastive_accuracy(imgs[None, rows, k], txts[None, rows]))
-    return float(np.mean(accs))
-
-
 def _noisy_pairs(seed, n, m, d, noise):
     """Text rows and (n, m, d) image rows near them."""
     rng = np.random.default_rng(seed)
@@ -201,10 +187,13 @@ class TestBatchedAccuracy:
             (4 * ACCURACY_BATCH + 29, 2),  # trailing partial batch dropped
         ],
     )
-    def test_equals_per_batch_loop_bitwise(self, n, m):
+    def test_equals_per_batch_loop_bitwise(self, n, m, tiled_accuracy):
+        size = min(ACCURACY_BATCH, n)
         for seed, noise in ((0, 0.05), (1, 0.2), (2, 1.0)):
             imgs, txts = _noisy_pairs(seed, n, m, 16, noise)
-            assert batched_contrastive_accuracy(imgs, txts) == _reference_batched_accuracy(imgs, txts)
+            batches = [slice(lo, lo + size) for lo in range(0, n - size + 1, size)]
+            per_batch = [tiled_accuracy(imgs[rows, k : k + 1], txts[rows]) for k in range(m) for rows in batches]
+            assert batched_contrastive_accuracy(imgs, txts) == tiled_accuracy(imgs, txts) == float(np.mean(per_batch))
 
     def test_partial_batch_is_dropped(self):
         imgs, txts = _noisy_pairs(3, 2 * ACCURACY_BATCH, 2, 16, 0.3)
@@ -218,16 +207,57 @@ class TestBatchedAccuracy:
             with pytest.raises(ShapeError):
                 batched_contrastive_accuracy(bad_imgs, bad_txts)
 
-    def test_all_equal_rows_tie_and_fail(self):
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples_are_refused(self, n):
+        with pytest.raises(ConfigError, match=f"at least 2 samples, got {n}$"):
+            batched_contrastive_accuracy(np.ones((n, 2, 4)), np.ones((n, 4)))
+
+    def test_all_equal_rows_tie_and_fail(self, tiled_accuracy):
         imgs = np.ones((3 * ACCURACY_BATCH, 2, 4))
         txts = np.ones((3 * ACCURACY_BATCH, 4))
-        assert batched_contrastive_accuracy(imgs, txts) == 0.0 == _reference_batched_accuracy(imgs, txts)
+        assert batched_contrastive_accuracy(imgs, txts) == 0.0 == tiled_accuracy(imgs, txts)
 
-    def test_features_of_a_generated_set(self, tuned_set):
+    def test_features_of_a_generated_set(self, tuned_set, tiled_accuracy):
         for tag in (PRETRAIN, EVAL_HELDOUT, EVAL_SEEN):
             idx = tuned_set.indices(tag)
             imgs, txts = tuned_set.image_feats[idx], tuned_set.text_feats[idx]
-            assert batched_contrastive_accuracy(imgs, txts) == _reference_batched_accuracy(imgs, txts)
+            assert batched_contrastive_accuracy(imgs, txts) == tiled_accuracy(imgs, txts)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2603])
+    def test_bisection_equals_bisection_on_tiled_formula(self, seed, monkeypatch, tiled_accuracy):
+        # the default spec's held-out rows tune the shift; the clouds, drawn after tuning, are kept small
+        spec = DatasetSpec(seed=seed, points_per_cloud=16)
+
+        def recorded(build, accs):
+            def scorer(texts, m):
+                score = build(texts, m)
+
+                def record(views):
+                    accs.append(score(views))
+                    return accs[-1]
+
+                return record
+
+            return scorer
+
+        runs = []
+        for build in (datagen._scorer, lambda texts, m: functools.partial(tiled_accuracy, text_feats=texts)):
+            accs = []
+            monkeypatch.setattr(datagen, "_scorer", recorded(build, accs))
+            runs.append((generate(spec).spec.shift_strength, accs))
+        assert runs[0] == runs[1] and len(runs[0][1]) >= 2
+
+    def test_memory_peak(self):
+        # 1,000 samples of 4 views: the view-major stack and the scores, 1.9 MiB each, peak at
+        # 3.8 MiB; with a tiled text stack beside them it was 5.7 MiB
+        imgs, txts = _noisy_pairs(5, 1000, 4, 64, 0.3)
+        tracemalloc.start()
+        try:
+            batched_contrastive_accuracy(imgs, txts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
 
 
 class TestFileFormat:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from tamm import numkit as nk
 from tamm.errors import ConfigError, NumericError, ShapeError
 from tamm.losses import (
+    ACCURACY_BATCH,
     LossConfig,
     contrastive_accuracy,
     contrastive_loss,
@@ -205,12 +207,12 @@ class TestTrimodalLoss:
 class TestContrastiveAccuracy:
     def test_identical_batches(self):
         rng = np.random.default_rng(13)
-        f = unit_rows(rng, 8, 6)[None]
-        assert contrastive_accuracy(f, f) == 1.0
+        f = unit_rows(rng, 8, 6)
+        assert contrastive_accuracy(np.stack([f, f], axis=1), f) == 1.0
 
     def test_cyclic_shift_orthonormal(self):
-        f = np.eye(5)[None]
-        assert contrastive_accuracy(f, np.roll(f, 1, axis=1)) == 0.0
+        f = np.eye(5)
+        assert contrastive_accuracy(f[:, None], np.roll(f, 1, axis=0)) == 0.0
 
     def test_random_pairs_monte_carlo(self):
         # matched pairs are independent random unit vectors: expect 1/n wins
@@ -218,48 +220,59 @@ class TestContrastiveAccuracy:
         for seed in range(1000):
             rng = np.random.default_rng(seed)
             fa, fb = unit_rows(rng, 16, 24), unit_rows(rng, 16, 24)
-            hits.append(contrastive_accuracy(fa[None], fb[None]))
+            hits.append(contrastive_accuracy(fa[:, None], fb))
         assert abs(float(np.mean(hits)) - 1.0 / 16.0) < 0.01
 
     def test_ties_count_as_failure(self):
-        f = np.array([[[1.0, 0.0], [1.0, 0.0]]])
-        assert contrastive_accuracy(f, f) == 0.0
+        f = np.array([[1.0, 0.0], [1.0, 0.0]])
+        assert contrastive_accuracy(f[:, None], f) == 0.0
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(14)
-        fa, fb = unit_rows(rng, 6, 5)[None], unit_rows(rng, 6, 5)[None]
+        fa, fb = unit_rows(rng, 6 * 3, 5).reshape(6, 3, 5), unit_rows(rng, 6, 5)
         assert contrastive_accuracy(fa, fb) == contrastive_accuracy(fa * 7.5, fb)
 
     def test_needs_two_pairs(self):
-        for k in (1, 4):
-            with pytest.raises(ConfigError):
-                contrastive_accuracy(np.ones((k, 1, 3)), np.ones((k, 1, 3)))
+        for n, m in itertools.product((0, 1), (1, 4)):
+            with pytest.raises(ConfigError, match=f"at least 2 samples, got {n}$"):
+                contrastive_accuracy(np.ones((n, m, 3)), np.ones((n, 3)))
 
     def test_stack_is_mean_of_batch_fractions(self):
+        # three batches of ACCURACY_BATCH per view and 5 rows dropped; the batches averaged view-major
         rng = np.random.default_rng(16)
-        fa, fb = unit_rows(rng, 5 * 12, 4).reshape(5, 12, 4), unit_rows(rng, 5 * 12, 4).reshape(5, 12, 4)
-        per_batch = [contrastive_accuracy(fa[i : i + 1], fb[i : i + 1]) for i in range(5)]
+        n, m = 3 * ACCURACY_BATCH + 5, 2
+        fa, fb = unit_rows(rng, n * m, 4).reshape(n, m, 4), unit_rows(rng, n, 4)
+        batches = [slice(i, i + ACCURACY_BATCH) for i in range(0, n - ACCURACY_BATCH + 1, ACCURACY_BATCH)]
+        per_batch = [contrastive_accuracy(fa[rows, v : v + 1], fb[rows]) for v in range(m) for rows in batches]
+        assert len(per_batch) == 6 and len(set(per_batch)) > 1
         assert contrastive_accuracy(fa, fb) == float(np.mean(per_batch))
-        assert contrastive_accuracy(fa[:1], fb[:1]) == per_batch[0]
+        assert contrastive_accuracy(fa[: ACCURACY_BATCH + 9, :1], fb[: ACCURACY_BATCH + 9]) == per_batch[0]
 
     def test_stack_errors(self):
-        with pytest.raises(ShapeError):  # one batch pair must be a stack of one
+        with pytest.raises(ShapeError):  # one view must be an axis of one
             contrastive_accuracy(np.ones((4, 2)), np.ones((4, 2)))
         with pytest.raises(ShapeError):
-            contrastive_accuracy(np.ones((3, 4, 2)), np.ones((2, 4, 2)))
+            contrastive_accuracy(np.ones((4, 3, 2)), np.ones((3, 2)))
         with pytest.raises(ShapeError):
-            contrastive_accuracy(np.ones((3, 4, 2)), np.ones((4, 2)))
+            contrastive_accuracy(np.ones((4, 3, 2)), np.ones((4, 3)))
         with pytest.raises(ShapeError):
-            contrastive_accuracy(np.ones((0, 4, 2)), np.ones((0, 4, 2)))
-        bad = np.ones((3, 4, 2))
-        bad[2, 1, 0] = np.nan
+            contrastive_accuracy(np.ones((4, 3, 2)), np.ones((4, 3, 2)))
+        with pytest.raises(ShapeError):
+            contrastive_accuracy(np.ones((4, 0, 2)), np.ones((4, 2)))
+        # a non-finite value is refused in any row, a dropped trailing one included
+        bad = np.ones((ACCURACY_BATCH + 5, 3, 2))
+        bad[-1, 1, 0] = np.nan
         with pytest.raises(NumericError):
-            contrastive_accuracy(bad, np.ones((3, 4, 2)))
+            contrastive_accuracy(bad, np.ones((ACCURACY_BATCH + 5, 2)))
+        bad_text = np.ones((4, 2))
+        bad_text[3, 1] = np.inf
+        with pytest.raises(NumericError):
+            contrastive_accuracy(np.ones((4, 3, 2)), bad_text)
 
     def test_directions(self):
-        # image-to-text: each FA row ranks every FB row
+        # image-to-text: each image row ranks every text row
         rng = np.random.default_rng(15)
         fa, fb = unit_rows(rng, 10, 4), unit_rows(rng, 10, 4)
         scores = fa @ fb.T
         expected = np.mean([scores[i, i] > np.delete(scores[i], i).max() for i in range(10)])
-        assert contrastive_accuracy(fa[None], fb[None]) == expected
+        assert contrastive_accuracy(fa[:, None], fb) == expected

@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tamm import train
+from tamm import datagen, train
 from tamm.adapters import AdapterParams, CiaConfig, init_adapter
-from tamm.datagen import EVAL_HELDOUT, PRETRAIN, DatasetSpec, batched_contrastive_accuracy, generate
+from tamm.datagen import EVAL_HELDOUT, PRETRAIN, DatasetSpec, generate
 from tamm.encoders import init_point_encoder
 from tamm.errors import ConfigError, DegenerateVectorError, FormatError, IncompatibilityError, ShapeError
-from tamm.losses import LossConfig
+from tamm.losses import LossConfig, _scorer
 from tamm.train import (
     ADAM_EPS,
     Checkpoint,
@@ -241,13 +241,13 @@ def _unit_rows(rng, *shape):
 
 
 class TestAccuracyCheck:
-    """``_accuracy_check`` against ``batched_contrastive_accuracy(adapt_views(...))``."""
+    """``_accuracy_check`` against the tiled formula over ``adapt_views(...)``."""
 
-    @staticmethod
-    def reference(splits, cia, cfg):
-        return [batched_contrastive_accuracy(adapt_views(im, cia, cfg), tx) for im, tx in splits]
+    @pytest.fixture
+    def reference(self, tiled_accuracy):
+        return lambda splits, cia, cfg: [tiled_accuracy(adapt_views(im, cia, cfg), tx) for im, tx in splits]
 
-    def test_dataset_splits(self, data):
+    def test_dataset_splits(self, data, reference):
         # fewer than 64 samples in each split: one short batch per view
         splits = [(data.image_feats[idx], data.text_feats[idx]) for idx in map(data.indices, (PRETRAIN, EVAL_HELDOUT))]
         assert all(len(tx) < 64 for _, tx in splits)
@@ -255,10 +255,10 @@ class TestAccuracyCheck:
         check = train._accuracy_check(splits, d // 2, cfg)
         for seed in (0, 1):
             cia = init_adapter(d, d // 2, seed, "dual")
-            assert check(cia) == self.reference(splits, cia, cfg)
+            assert check(cia) == reference(splits, cia, cfg)
 
     @pytest.mark.parametrize("views", [1, 4])
-    def test_dropped_partial_batch(self, views):
+    def test_dropped_partial_batch(self, views, reference):
         # 1,000 samples are 15 batches of 64 and 40 dropped; the smaller split reuses the larger one's buffers
         rng = np.random.default_rng(views)
         d, h, cfg = 16, 8, CiaConfig(0.3)
@@ -266,18 +266,49 @@ class TestAccuracyCheck:
         check = train._accuracy_check(splits, h, cfg)
         for seed in (0, 1):
             cia = init_adapter(d, h, seed, "dual")
-            assert check(cia) == self.reference(splits, cia, cfg)
+            assert check(cia) == reference(splits, cia, cfg)
 
-    def test_row_sent_to_zero_raises_in_both(self):
+    def test_row_sent_to_zero_raises_in_both(self, reference):
         rng = np.random.default_rng(5)
         d, h, cfg = 16, 8, CiaConfig(1.0)
         splits = [(_unit_rows(rng, 100, 2, d), _unit_rows(rng, 100, d))]
         # alpha 1 keeps only the correction, and every hidden unit of the first row is negative
         cia = AdapterParams(-np.outer(splits[0][0][0, 0], np.ones(h)), rng.standard_normal((h, d)))
         with pytest.raises(DegenerateVectorError):
-            self.reference(splits, cia, cfg)
+            reference(splits, cia, cfg)
         with pytest.raises(DegenerateVectorError):
             train._accuracy_check(splits, h, cfg)(cia)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_split_of_fewer_than_two_samples_is_refused(self, n):
+        rng = np.random.default_rng(n)
+        splits = [(_unit_rows(rng, 70, 2, 16), _unit_rows(rng, 70, 16)), (np.ones((n, 2, 16)), np.ones((n, 16)))]
+        with pytest.raises(ConfigError, match=f"at least 2 samples, got {n}$"):
+            train._accuracy_check(splits, 8, CiaConfig())
+
+    def test_traces_no_span(self, data):
+        # the check runs on the row helper thread, where the benchmark's tracer, which keeps one
+        # span stack, must record nothing; the public entry records its own span and the loss's
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        try:
+            import tamm.cli  # noqa: F401  the tracer patches the bindings of every loaded tamm module
+            import tracing
+        finally:
+            sys.path.pop(0)
+        held = data.indices(EVAL_HELDOUT)
+        images, texts = data.image_feats[held], data.text_feats[held]
+        cia = init_adapter(data.spec.feature_dim, 8, 0, "cia")
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            train._accuracy_check([(images, texts)], 8, CiaConfig())(cia)
+            _scorer(texts.astype(np.float64), images.shape[1])(images.astype(np.float64))
+            assert len(tracer) == 0
+            datagen.batched_contrastive_accuracy(images, texts)
+        assert [tracer.keys[key] for key in tracer.span_key] == [
+            ("datagen.batched_contrastive_accuracy", tracing.CALL),
+            ("losses.contrastive_accuracy", tracing.CALL),
+        ]
+        assert list(tracer.parent) == [-1, 0]
 
 
 @pytest.fixture
