@@ -97,13 +97,6 @@ def shift_matrix(spec: FrozenEncoderSpec, s: float) -> np.ndarray:
     return m
 
 
-def shift_apply(x, spec: FrozenEncoderSpec, s: float) -> np.ndarray:
-    """Affine domain shift at strength s: rotate in the fixed planes, then add the bias."""
-    s = float(s)
-    arr = nk.as_f64(x, "shift input")
-    return arr @ shift_matrix(spec, s).T + s * SHIFT_BIAS_SCALE * spec.shift_bias_dir
-
-
 def frozen_text_embed(latent, spec: FrozenEncoderSpec) -> np.ndarray:
     """Unit-norm text-path feature of a latent vector (or a batch of them)."""
     arr = nk.as_f64(latent, "text latent")
@@ -116,17 +109,20 @@ def frozen_image_views(latent, spec: FrozenEncoderSpec, s: float, out: np.ndarra
     """Store the image-path views of the (n, z) latents in the (n, m, d) ``out``.
 
     View k is a per-view perturbation of the text-path embedding, renormalized;
-    at s > 0 it is then shifted at strength s and renormalized again, and at
-    s = 0 stored as embedded, since renormalizing moves bits."""
+    at s > 0 it is then shifted at strength s by the affine map built once per
+    call and renormalized again, and at s = 0 stored as embedded, since
+    renormalizing moves bits."""
     arr = nk.as_f64(latent, "image latent")
     if arr.shape[-1] != spec.latent_dim:
         raise ShapeError(f"latent dim {arr.shape[-1]} != spec latent dim {spec.latent_dim}")
     if out.shape[1] > spec.max_views:
         raise ConfigError(f"{out.shape[1]} views exceed the spec's {spec.max_views}")
     shared = arr @ spec.text_proj
+    if s > 0.0:
+        lin, bias = shift_matrix(spec, s).T, s * SHIFT_BIAS_SCALE * spec.shift_bias_dir
     for k in range(out.shape[1]):
         view = nk.l2_normalize(shared + VIEW_SCALE * (arr @ spec.view_projs[k])).value
-        out[:, k] = nk.l2_normalize(shift_apply(view, spec, s)).value if s > 0.0 else view
+        out[:, k] = nk.l2_normalize(view @ lin + bias).value if s > 0.0 else view
     return out
 
 

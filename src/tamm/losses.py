@@ -115,7 +115,7 @@ def contrastive_accuracy(image_feats, text_feats) -> float:
     rows form consecutive batches of ``ACCURACY_BATCH`` (fewer samples form one batch, a trailing
     partial batch is dropped), and the score is the mean over those batches of the share of rows
     whose own text is strictly the nearest text of the batch (ties fail)."""
-    imgs = nk.as_f64(image_feats, "image features")
+    imgs, _ = nk._checked(image_feats, "image features", keep_f32=True)  # the scorer's stack copy widens it
     txts = nk.as_f64(text_feats, "text features")
     if imgs.ndim != 3 or imgs.shape[1] < 1 or txts.shape != (imgs.shape[0], imgs.shape[-1]):
         raise ShapeError(f"text features {txts.shape} do not pair with (n, m >= 1, d) image features {imgs.shape}")
@@ -123,10 +123,11 @@ def contrastive_accuracy(image_feats, text_feats) -> float:
 
 
 def _scorer(texts: np.ndarray, m: int, stack=None, scores=None) -> Callable[[np.ndarray], float]:
-    """``score(views)``: ``contrastive_accuracy(views, texts)`` of (n, m, d) float64 views, unchecked
-    and untraced, so a helper thread may call it. ``stack`` and ``scores`` are flat float64 buffers
-    for the view-major (m, k, size, d) batches and their (m, k, size, size) scores, made here when
-    None; the views may share memory with ``scores`` but not with ``stack``."""
+    """``score(views)``: ``contrastive_accuracy(views, texts)`` of (n, m, d) float32 or float64
+    views, unchecked and untraced, so a helper thread may call it. ``stack`` and ``scores`` are flat
+    float64 buffers for the view-major (m, k, size, d) batches, into which float32 views widen
+    exactly, and their (m, k, size, size) scores, made here when None; the views may share memory
+    with ``scores`` but not with ``stack``."""
     n, d = texts.shape
     size = min(ACCURACY_BATCH, n)
     if size < 2:

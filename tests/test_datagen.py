@@ -194,6 +194,10 @@ class TestBatchedAccuracy:
             batches = [slice(lo, lo + size) for lo in range(0, n - size + 1, size)]
             per_batch = [tiled_accuracy(imgs[rows, k : k + 1], txts[rows]) for k in range(m) for rows in batches]
             assert batched_contrastive_accuracy(imgs, txts) == tiled_accuracy(imgs, txts) == float(np.mean(per_batch))
+            # float32 features, as a set stores them, score as their float64 widening
+            narrow = [a.astype(np.float32) for a in (imgs, txts)]
+            wide = [a.astype(np.float64) for a in narrow]
+            assert batched_contrastive_accuracy(*narrow) == batched_contrastive_accuracy(*wide)
 
     def test_partial_batch_is_dropped(self):
         imgs, txts = _noisy_pairs(3, 2 * ACCURACY_BATCH, 2, 16, 0.3)
@@ -247,10 +251,13 @@ class TestBatchedAccuracy:
             runs.append((generate(spec).spec.shift_strength, accs))
         assert runs[0] == runs[1] and len(runs[0][1]) >= 2
 
-    def test_memory_peak(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_memory_peak(self, dtype):
         # 1,000 samples of 4 views: the view-major stack and the scores, 1.9 MiB each, peak at
-        # 3.8 MiB; with a tiled text stack beside them it was 5.7 MiB
-        imgs, txts = _noisy_pairs(5, 1000, 4, 64, 0.3)
+        # 3.8 MiB, and 4.3 MiB from float32 features as a set stores them, whose texts are
+        # widened; with a tiled text stack beside them it was 5.7 MiB, and with a float64 copy
+        # of float32 views 6.3 MiB
+        imgs, txts = (a.astype(dtype) for a in _noisy_pairs(5, 1000, 4, 64, 0.3))
         tracemalloc.start()
         try:
             batched_contrastive_accuracy(imgs, txts)

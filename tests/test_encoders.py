@@ -22,7 +22,6 @@ from tamm.encoders import (
     frozen_image_views,
     frozen_text_embed,
     init_point_encoder,
-    shift_apply,
     shift_matrix,
 )
 from tamm.errors import ConfigError, NumericError, ShapeError
@@ -79,10 +78,13 @@ class TestFrozenPaths:
 
     def test_zero_strength_shift_is_identity(self):
         s0 = FrozenEncoderSpec.build(seed=9, latent_dim=8, feature_dim=32, max_views=2)
-        rng = np.random.default_rng(5)
-        feats = image_views(rng.normal(size=(3, 8)), s0)[:, 0]
+        latent = np.random.default_rng(5).normal(size=(3, 8))
         np.testing.assert_array_equal(shift_matrix(s0, 0.0), np.eye(32))
-        np.testing.assert_array_equal(shift_apply(feats, s0, 0.0), feats)
+        # at s = 0 each view is stored as embedded, not renormalized again
+        views = image_views(latent, s0)
+        for k in range(2):
+            raw = latent @ s0.text_proj + VIEW_SCALE * (latent @ s0.view_projs[k])
+            np.testing.assert_array_equal(views[:, k], nk.l2_normalize(raw).value)
 
     def test_shift_changes_features(self, spec):
         latent = np.random.default_rng(6).normal(size=(1, 16))
@@ -98,7 +100,8 @@ class TestFrozenPaths:
         for k in range(4):
             raw = latent @ spec.text_proj + VIEW_SCALE * (latent @ spec.view_projs[k])
             view = nk.l2_normalize(raw).value
-            want = nk.l2_normalize(shift_apply(view, spec, s)).value if s > 0.0 else view
+            shifted = view @ shift_matrix(spec, s).T + s * SHIFT_BIAS_SCALE * spec.shift_bias_dir
+            want = nk.l2_normalize(shifted).value if s > 0.0 else view
             np.testing.assert_array_equal(views[:, k], want)
 
     def test_shift_matrix_orthogonal_by_construction(self):
@@ -116,9 +119,29 @@ class TestFrozenPaths:
         # the linear part is orthogonal, so its transpose undoes it once the bias is off
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 64))
-        y = shift_apply(x, spec, SHIFT)
-        back = (y - SHIFT * SHIFT_BIAS_SCALE * spec.shift_bias_dir) @ shift_matrix(spec, SHIFT)
+        bias = SHIFT * SHIFT_BIAS_SCALE * spec.shift_bias_dir
+        y = x @ shift_matrix(spec, SHIFT).T + bias
+        back = (y - bias) @ shift_matrix(spec, SHIFT)
         assert np.max(np.abs(back - x)) < 1e-9
+
+    def test_shift_map_built_once_per_call(self, spec, monkeypatch):
+        builds = []
+
+        def counted(enc, s):
+            builds.append(s)
+            return shift_matrix(enc, s)
+
+        monkeypatch.setattr(encoders, "shift_matrix", counted)
+        latent = np.random.default_rng(9).normal(size=(20, 16))
+        image_views(latent, spec, SHIFT)
+        assert builds == [SHIFT]
+        image_views(latent, spec, 0.0)
+        assert builds == [SHIFT]
+        # a default generate tunes to 0.5 in two bisection steps, then builds the stored set:
+        # one map per frozen_image_views call, where one per view made 12
+        builds.clear()
+        generate(DatasetSpec(seed=0))
+        assert builds == [1.0, 0.5, 0.5]
 
     def test_latent_dim_checked(self, spec):
         with pytest.raises(ShapeError):
